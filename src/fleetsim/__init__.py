@@ -22,7 +22,6 @@ from .engine import (
 from .matching import (
     AssignmentSolution,
     MatchingError,
-    RVGraph,
     build_rv_graph,
     feasible_vehicles,
     priority_matching_oracle,
@@ -88,7 +87,6 @@ __all__ = [
     "ObjectiveReport",
     "PathResult",
     "RTVGraph",
-    "RVGraph",
     "Reassignment",
     "RejectionPolicy",
     "Request",

@@ -117,8 +117,6 @@ def _cmd_run(args) -> int:
         if trace is not None:
             label = f"{cfg.seed}_{cfg.engine.mode.value}_{cfg.engine.rejection_policy.value}"
             _write_graph_trace(args.out, label, trace)
-    elif args.dump_graphs:
-        raise ConfigError("--dump-graphs needs --out")
     return 0
 
 
@@ -143,8 +141,6 @@ def _run_twins(args, seeds) -> int:
         emit_metrics(results, report, args.out)
         for label, trace in traces:
             _write_graph_trace(args.out, label, trace)
-    elif args.dump_graphs:
-        raise ConfigError("--dump-graphs needs --out")
     return 2 if report.mismatches else 0
 
 
@@ -180,6 +176,8 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
     }
     try:
+        if getattr(args, "dump_graphs", False) and not args.out:
+            raise ConfigError("--dump-graphs needs --out")
         return handlers[args.verb](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,12 @@
-"""Single-rider dispatch: request-vehicle graph and exact batch matching.
+"""Batch dispatch graph, shared by both modes, and single-rider matching.
 
-Each batch builds a bipartite graph of requests against the vehicles
-that can still reach them in time, then solves a min-cost matching
-whose weights encode the operator's priorities: drop as few previously
+Each batch builds a request-trip-vehicle graph: bundles of open
+requests a single vehicle could serve together, each linked to the
+vehicles that can, with the cheapest plan found and its cost increase
+over what the vehicle is already committed to drive. Single-rider
+hailing is the case where every bundle holds one request and every
+plan carries one rider; it is solved here as a min-cost matching whose
+weights encode the operator's priorities: drop as few previously
 promised requests as possible, serve as many requests as possible,
 then minimize the cost increase over the committed plans. Ties are
 broken canonically (lowest request id, then lowest vehicle id), so the
@@ -23,28 +27,45 @@ class MatchingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RVEdge:
-    """A feasible request-vehicle pairing with its replacement plan."""
+class Bundle:
+    """A set of requests considered for joint service."""
 
-    request_id: int
+    id: int
+    members: frozenset[int]
+
+    def key(self) -> tuple[int, tuple[int, ...]]:
+        return (len(self.members), tuple(sorted(self.members)))
+
+
+@dataclass(frozen=True)
+class VBEdge:
+    """A vehicle that can serve a bundle, with the cheapest plan found."""
+
+    bundle_id: int
     vehicle_id: int
     cost: int
     route: Route
 
 
 @dataclass
-class RVGraph:
-    """Per-batch feasibility graph for single-rider assignment."""
+class RTVGraph:
+    """Per-batch feasibility structure for either service mode."""
 
     request_ids: list[int]
     vehicle_ids: list[int]
-    edges: dict[tuple[int, int], RVEdge]
+    bundles: list[Bundle]
+    edges: dict[tuple[int, int], VBEdge]
     vehicles_for: dict[int, list[int]]
+    bundles_with: dict[int, list[int]]
+    vehicle_bundles: dict[int, list[int]]
     prev_assigned: dict[int, int | None]
     baseline_cost: dict[int, int]
 
-    def edge(self, request_id: int, vehicle_id: int) -> RVEdge:
-        return self.edges[(request_id, vehicle_id)]
+    def edge(self, bundle_id: int, vehicle_id: int) -> VBEdge:
+        return self.edges[(bundle_id, vehicle_id)]
+
+    def members(self, bundle_id: int) -> frozenset[int]:
+        return self.bundles[bundle_id].members
 
 
 @dataclass
@@ -111,42 +132,58 @@ def retained_route(vehicle, now: int, net: Network) -> Route | None:
     return Route(schedule_stops(net, node, time, visits))
 
 
-def feasible_vehicles(
-    state: SystemState, net: Network, now: int
+def reachable_vehicles(
+    state: SystemState, net: Network, now: int, start
 ) -> dict[int, list[int]]:
-    """Vehicles that can still reach each open request before its deadline.
+    """Vehicles that can reach each open request's origin before its deadline.
 
-    The test ignores revocable pickup commitments, so for a request the
-    set can only shrink from batch to batch: vehicles drift away or
-    bind to dropoffs, and the deadline never moves.
+    `start(vehicle, now)` gives the node and time each vehicle sets out
+    from. The test ignores revocable pickup commitments, so with either
+    start rule the set can only shrink while a request stays open.
+    Keys are every open request, in id order.
     """
-    releases = {v.id: vehicle_release(v, now) for v in state.sorted_vehicles()}
+    starts = {v.id: start(v, now) for v in state.sorted_vehicles()}
     out: dict[int, list[int]] = {}
     for request in state.active_requests():
         fits = []
-        for vid in sorted(releases):
-            node, time = releases[vid]
+        for vid in sorted(starts):
+            node, time = starts[vid]
             if time + net.travel_time(node, request.origin) <= request.latest_pickup:
                 fits.append(vid)
         out[request.id] = fits
     return out
 
 
-def build_rv_graph(
+def feasible_vehicles(
+    state: SystemState, net: Network, now: int
+) -> dict[int, list[int]]:
+    """Vehicles that can still reach each open request before its deadline.
+
+    A vehicle sets out once its on-board riders are dropped off; vehicles
+    drift away or bind to dropoffs from batch to batch, and the deadline
+    never moves.
+    """
+    return reachable_vehicles(state, net, now, vehicle_release)
+
+
+def assemble_graph(
     state: SystemState,
     net: Network,
     now: int,
     weights: CostWeights,
-) -> RVGraph:
-    """Build the batch's feasibility graph with incremental plan costs.
+    vehicles_for: dict[int, list[int]],
+    plans: dict[frozenset[int], dict[int, tuple[Route, int]]],
+) -> RTVGraph:
+    """Index the batch's workable bundles into a graph.
 
-    Edge cost is the candidate plan's cost minus the cost of what the
-    vehicle is already committed to drive, so summing matched edge
-    costs gives the assignment's true cost increase.
+    `plans` maps each bundle's members to {vehicle id: (plan, plan
+    cost)}. Edge cost is the plan's cost minus the cost of what the
+    vehicle is already committed to drive, so summing chosen edge costs
+    gives the assignment's true cost increase. Bundle ids follow
+    (size, sorted members).
     """
-    request_ids = [r.id for r in state.active_requests()]
+    request_ids = list(vehicles_for)
     vehicle_ids = sorted(state.vehicles)
-    vehicles_for = feasible_vehicles(state, net, now)
     baseline: dict[int, int] = {}
     for vid in vehicle_ids:
         vehicle = state.vehicles[vid]
@@ -154,24 +191,127 @@ def build_rv_graph(
         baseline[vid] = (
             0 if kept is None else route_cost(kept, vehicle, now, net, weights, state.requests)
         )
-    edges: dict[tuple[int, int], RVEdge] = {}
-    for rid in request_ids:
-        request = state.requests[rid]
-        if net.travel_time(request.origin, request.destination) > request.max_ride:
-            vehicles_for[rid] = []
-            continue
-        for vid in vehicles_for[rid]:
-            vehicle = state.vehicles[vid]
-            plan = candidate_route(vehicle, request, now, net)
-            cost = route_cost(plan, vehicle, now, net, weights, state.requests) - baseline[vid]
-            edges[(rid, vid)] = RVEdge(rid, vid, cost, plan)
+    ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
+    bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
+    edges: dict[tuple[int, int], VBEdge] = {}
+    bundles_with: dict[int, list[int]] = {rid: [] for rid in request_ids}
+    vehicle_bundles: dict[int, list[int]] = {vid: [] for vid in vehicle_ids}
+    for bundle in bundles:
+        for vid in sorted(plans[bundle.members]):
+            route, cost = plans[bundle.members][vid]
+            edges[(bundle.id, vid)] = VBEdge(bundle.id, vid, cost - baseline[vid], route)
+            vehicle_bundles[vid].append(bundle.id)
+        for rid in bundle.members:
+            bundles_with[rid].append(bundle.id)
     prev = {
         rid: state.requests[rid].assigned_vehicle
         if state.requests[rid].status is RequestStatus.WAITING
         else None
         for rid in request_ids
     }
-    return RVGraph(request_ids, vehicle_ids, edges, vehicles_for, prev, baseline)
+    return RTVGraph(
+        request_ids=request_ids,
+        vehicle_ids=vehicle_ids,
+        bundles=bundles,
+        edges=edges,
+        vehicles_for=vehicles_for,
+        bundles_with=bundles_with,
+        vehicle_bundles=vehicle_bundles,
+        prev_assigned=prev,
+        baseline_cost=baseline,
+    )
+
+
+def build_rv_graph(
+    state: SystemState,
+    net: Network,
+    now: int,
+    weights: CostWeights,
+) -> RTVGraph:
+    """Build the batch's single-rider graph: one singleton bundle per request.
+
+    Each reachable vehicle's plan finishes its committed dropoffs and
+    then serves the request.
+    """
+    vehicles_for = feasible_vehicles(state, net, now)
+    plans: dict[frozenset[int], dict[int, tuple[Route, int]]] = {}
+    for rid, vids in vehicles_for.items():
+        request = state.requests[rid]
+        if net.travel_time(request.origin, request.destination) > request.max_ride:
+            vehicles_for[rid] = []
+            continue
+        fits = {}
+        for vid in vids:
+            vehicle = state.vehicles[vid]
+            plan = candidate_route(vehicle, request, now, net)
+            fits[vid] = (plan, route_cost(plan, vehicle, now, net, weights, state.requests))
+        if fits:
+            plans[frozenset({rid})] = fits
+    return assemble_graph(state, net, now, weights, vehicles_for, plans)
+
+
+def _vehicle_options(graph: RTVGraph, frozen: bool):
+    """Per-vehicle choice lists, most content-canonical first, None last.
+
+    In frozen mode a vehicle holding commitments may only choose bundles
+    that keep all of them, and no vehicle may take a request committed
+    to another.
+    """
+    frozen_map: dict[int, int] = {}
+    if frozen:
+        frozen_map = {
+            rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None
+        }
+    needs: dict[int, set[int]] = {}
+    for rid, vid in frozen_map.items():
+        needs.setdefault(vid, set()).add(rid)
+    options: dict[int, list[int | None]] = {}
+    for vid in graph.vehicle_ids:
+        allowed: list[int | None] = []
+        need = needs.get(vid, set())
+        for bid in graph.vehicle_bundles.get(vid, ()):
+            members = graph.members(bid)
+            if frozen:
+                if not need <= members:
+                    continue
+                if any(frozen_map.get(rid, vid) != vid for rid in members):
+                    continue
+            allowed.append(bid)
+        if need and not allowed:
+            raise MatchingError(
+                f"vehicle {vid}: frozen commitment to {sorted(need)} lost feasibility;"
+                " no workable bundle keeps it"
+            )
+        if not need:
+            allowed.append(None)
+        options[vid] = allowed
+    return options
+
+
+def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolution:
+    """The solution that gives each vehicle in `chosen` its bundle."""
+    pairs: dict[int, int] = {}
+    routes: dict[int, Route] = {}
+    total = 0
+    for vid, bid in sorted(chosen.items()):
+        edge = graph.edge(bid, vid)
+        routes[vid] = edge.route
+        total += edge.cost
+        for rid in sorted(graph.members(bid)):
+            pairs[rid] = vid
+    kept = sum(1 for rid in pairs if graph.prev_assigned.get(rid) is not None)
+    unassigned = sorted(set(graph.request_ids) - set(pairs))
+    dropped = [rid for rid in unassigned if graph.prev_assigned.get(rid) is not None]
+    return AssignmentSolution(
+        pairs=pairs,
+        routes=routes,
+        kept_previous=kept,
+        assigned_count=len(pairs),
+        total_cost=total,
+        unassigned=unassigned,
+        dropped_previous=dropped,
+        chosen_bundles=dict(sorted(chosen.items())),
+    )
 
 
 # -- exact solver ---------------------------------------------------------------
@@ -275,45 +415,33 @@ def _min_cost_matching(
             vid = came_from
 
 
-def solve_hailing(graph: RVGraph, frozen: bool = False) -> AssignmentSolution:
-    """Solve one batch exactly, with canonical tie-breaking.
+def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
+    """Solve one single-rider batch exactly, with canonical tie-breaking.
 
-    The objective is lexicographic: keep as many previously assigned
-    requests assigned as possible, then assign as many requests as
-    possible, then minimize total incremental cost. Among optima the
-    solver prefers serving lower request ids and pairing each with the
-    lowest workable vehicle id, so equal instances resolve equally.
+    Every bundle of the graph must be a singleton. The objective is
+    lexicographic: keep as many previously assigned requests assigned as
+    possible, then assign as many requests as possible, then minimize
+    total incremental cost. Among optima the solver prefers serving
+    lower request ids and pairing each with the lowest workable vehicle
+    id, so equal instances resolve equally.
 
     With frozen=True every previously assigned pair is locked in and
     only the remaining requests and vehicles are optimized.
     """
-    fixed: dict[int, int] = {}
-    used: set[int] = set()
-    if frozen:
-        for rid in graph.request_ids:
-            vid = graph.prev_assigned.get(rid)
-            if vid is None:
-                continue
-            if (rid, vid) not in graph.edges:
-                raise MatchingError(
-                    f"frozen pair ({rid}, {vid}) lost feasibility; commitments must hold"
-                )
-            if vid in used:
-                raise MatchingError(f"vehicle {vid} frozen to two requests")
-            fixed[rid] = vid
-            used.add(vid)
-
+    options = _vehicle_options(graph, frozen)
+    # a committed vehicle's one option is its frozen request's bundle
+    chosen = {vid: opts[0] for vid, opts in options.items() if None not in opts}
+    fixed = {rid for bid in chosen.values() for rid in graph.members(bid)}
     free_requests = [rid for rid in graph.request_ids if rid not in fixed]
-    free_vehicles = [vid for vid in graph.vehicle_ids if vid not in used]
-    free_request_set = set(free_requests)
-    free_vehicle_set = set(free_vehicles)
+    free_vehicles = [vid for vid in graph.vehicle_ids if vid not in chosen]
 
-    costs = {
-        pair: edge.cost
-        for pair, edge in graph.edges.items()
-        if pair[0] in free_request_set and pair[1] in free_vehicle_set
-    }
-    matching: dict[int, int] = {}
+    costs: dict[tuple[int, int], int] = {}
+    bundle_of: dict[int, int] = {}
+    for vid in free_vehicles:
+        for bid in options[vid][:-1]:  # all but the trailing None
+            (rid,) = graph.members(bid)
+            costs[(rid, vid)] = graph.edge(bid, vid).cost
+            bundle_of[rid] = bid
     if costs:
         spread = 1 + sum(abs(c) for c in costs.values())
         drop_penalty = 1 + (len(graph.request_ids) + 2) * spread
@@ -334,34 +462,8 @@ def solve_hailing(graph: RVGraph, frozen: bool = False) -> AssignmentSolution:
                 -(1 << (bits_e - 1 - rank_e[pair])),
             )
         matching = _min_cost_matching(free_requests, free_vehicles, weights)
-
-    pairs = dict(fixed)
-    pairs.update(matching)
-    routes = {vid: graph.edges[(rid, vid)].route for rid, vid in pairs.items()}
-    total_cost = sum(graph.edges[(rid, vid)].cost for rid, vid in pairs.items())
-    kept = sum(1 for rid in pairs if graph.prev_assigned.get(rid) is not None)
-    unassigned = sorted(set(graph.request_ids) - set(pairs))
-    dropped = [rid for rid in unassigned if graph.prev_assigned.get(rid) is not None]
-    return AssignmentSolution(
-        pairs=pairs,
-        routes=routes,
-        kept_previous=kept,
-        assigned_count=len(pairs),
-        total_cost=total_cost,
-        unassigned=unassigned,
-        dropped_previous=dropped,
-    )
-
-
-def competing_requests(graph: RVGraph, request_id: int) -> list[int]:
-    """Other open requests contending for any of this request's vehicles."""
-    mine = set(graph.vehicles_for.get(request_id, ()))
-    rivals = [
-        rid
-        for rid in graph.request_ids
-        if rid != request_id and mine & set(graph.vehicles_for.get(rid, ()))
-    ]
-    return rivals
+        chosen.update((vid, bundle_of[rid]) for rid, vid in matching.items())
+    return _solution_from(graph, chosen)
 
 
 def priority_matching_oracle(

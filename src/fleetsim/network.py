@@ -166,11 +166,6 @@ class Network:
     def has_node(self, node: int) -> bool:
         return node in self._index
 
-    def neighbors(self, node: int) -> tuple[tuple[int, int], ...]:
-        """Outgoing (neighbor, travel_time) pairs, sorted by neighbor id."""
-        i = self._require(node)
-        return tuple((self._nodes[j], t) for j, t in self._adj[i])
-
     def travel_time(self, origin: int, destination: int) -> int:
         """Shortest travel time between two nodes; zero when they coincide."""
         a = self._require(origin)

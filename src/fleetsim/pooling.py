@@ -11,64 +11,29 @@ single-rider mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .matching import AssignmentSolution, MatchingError, retained_route
+from .matching import (
+    AssignmentSolution,
+    Bundle,
+    MatchingError,
+    RTVGraph,
+    VBEdge,
+    _solution_from,
+    _vehicle_options,
+    assemble_graph,
+    reachable_vehicles,
+)
 from .model import (
     CostWeights,
-    RequestStatus,
     Route,
     SystemState,
     Vehicle,
     plan_start,
-    route_cost,
+    route_cost,  # unused here; perfbench/spans.py traces this binding
     schedule_stops,
 )
 from .network import Network
 
 _ORACLE_EDGE_LIMIT = 20
-
-
-@dataclass(frozen=True)
-class Bundle:
-    """A set of requests considered for joint service."""
-
-    id: int
-    members: frozenset[int]
-
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.members), tuple(sorted(self.members)))
-
-
-@dataclass(frozen=True)
-class VBEdge:
-    """A vehicle that can serve a bundle, with the cheapest plan found."""
-
-    bundle_id: int
-    vehicle_id: int
-    cost: int
-    route: Route
-
-
-@dataclass
-class RTVGraph:
-    """Per-batch shared-ride feasibility structure."""
-
-    request_ids: list[int]
-    vehicle_ids: list[int]
-    bundles: list[Bundle]
-    edges: dict[tuple[int, int], VBEdge]
-    vehicles_for: dict[int, list[int]]
-    bundles_with: dict[int, list[int]]
-    vehicle_bundles: dict[int, list[int]]
-    prev_assigned: dict[int, int | None]
-    baseline_cost: dict[int, int]
-
-    def edge(self, bundle_id: int, vehicle_id: int) -> VBEdge:
-        return self.edges[(bundle_id, vehicle_id)]
-
-    def members(self, bundle_id: int) -> frozenset[int]:
-        return self.bundles[bundle_id].members
 
 
 def divertable_vehicles(
@@ -80,16 +45,7 @@ def divertable_vehicles(
     vehicle is imagined turning toward the request at the next node it
     reaches. The set can only shrink while a request stays open.
     """
-    starts = {v.id: plan_start(v, now) for v in state.sorted_vehicles()}
-    out: dict[int, list[int]] = {}
-    for request in state.active_requests():
-        fits = []
-        for vid in sorted(starts):
-            node, time = starts[vid]
-            if time + net.travel_time(node, request.origin) <= request.latest_pickup:
-                fits.append(vid)
-        out[request.id] = fits
-    return out
+    return reachable_vehicles(state, net, now, plan_start)
 
 
 def best_route(
@@ -205,23 +161,13 @@ def build_rtv_graph(
     """
     if max_bundle_size is not None and max_bundle_size < 1:
         raise ValueError("max_bundle_size must be positive or None")
-    request_ids = [r.id for r in state.active_requests()]
-    vehicle_ids = sorted(state.vehicles)
     vehicles_for = divertable_vehicles(state, net, now)
-    baseline: dict[int, int] = {}
-    for vid in vehicle_ids:
-        vehicle = state.vehicles[vid]
-        kept = retained_route(vehicle, now, net)
-        baseline[vid] = (
-            0 if kept is None else route_cost(kept, vehicle, now, net, weights, state.requests)
-        )
-
     plans: dict[frozenset[int], dict[int, tuple[Route, int]]] = {}
     level: list[frozenset[int]] = []
-    for rid in request_ids:
+    for rid, vids in vehicles_for.items():
         group = frozenset({rid})
         fits: dict[int, tuple[Route, int]] = {}
-        for vid in vehicles_for[rid]:
+        for vid in vids:
             found = best_route(state.vehicles[vid], group, now, net, state.requests, weights)
             if found is not None:
                 fits[vid] = found
@@ -258,77 +204,7 @@ def build_rtv_graph(
                     grown.append(union)
         level = grown
 
-    ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
-    bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
-    edges: dict[tuple[int, int], VBEdge] = {}
-    bundles_with: dict[int, list[int]] = {rid: [] for rid in request_ids}
-    vehicle_bundles: dict[int, list[int]] = {vid: [] for vid in vehicle_ids}
-    for bundle in bundles:
-        for vid in sorted(plans[bundle.members]):
-            route, cost = plans[bundle.members][vid]
-            edges[(bundle.id, vid)] = VBEdge(bundle.id, vid, cost - baseline[vid], route)
-            vehicle_bundles[vid].append(bundle.id)
-        for rid in bundle.members:
-            bundles_with[rid].append(bundle.id)
-    prev = {
-        rid: state.requests[rid].assigned_vehicle
-        if state.requests[rid].status is RequestStatus.WAITING
-        else None
-        for rid in request_ids
-    }
-    return RTVGraph(
-        request_ids=request_ids,
-        vehicle_ids=vehicle_ids,
-        bundles=bundles,
-        edges=edges,
-        vehicles_for=vehicles_for,
-        bundles_with=bundles_with,
-        vehicle_bundles=vehicle_bundles,
-        prev_assigned=prev,
-        baseline_cost=baseline,
-    )
-
-
-def competing_bundles(graph: RTVGraph, bundle_id: int) -> list[int]:
-    """Bundles that cannot be chosen together with this one."""
-    members = graph.members(bundle_id)
-    rivals: set[int] = set()
-    for rid in members:
-        rivals.update(graph.bundles_with.get(rid, ()))
-    rivals.discard(bundle_id)
-    return sorted(rivals)
-
-
-def _vehicle_options(graph: RTVGraph, frozen: bool):
-    """Per-vehicle choice lists, most content-canonical first, None last."""
-    frozen_map: dict[int, int] = {}
-    if frozen:
-        frozen_map = {
-            rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None
-        }
-    needs: dict[int, set[int]] = {}
-    for rid, vid in frozen_map.items():
-        needs.setdefault(vid, set()).add(rid)
-    options: dict[int, list[int | None]] = {}
-    for vid in graph.vehicle_ids:
-        allowed: list[int | None] = []
-        need = needs.get(vid, set())
-        for bid in graph.vehicle_bundles.get(vid, ()):
-            members = graph.members(bid)
-            if frozen:
-                if not need <= members:
-                    continue
-                if any(frozen_map.get(rid, vid) != vid for rid in members):
-                    continue
-            allowed.append(bid)
-        if need and not allowed:
-            raise MatchingError(
-                f"vehicle {vid}: frozen commitment to {sorted(need)} has no workable bundle"
-            )
-        if not need:
-            allowed.append(None)
-        options[vid] = allowed
-    return options
+    return assemble_graph(state, net, now, weights, vehicles_for, plans)
 
 
 def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
@@ -337,34 +213,7 @@ def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
     )
 
 
-def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolution:
-    pairs: dict[int, int] = {}
-    routes: dict[int, Route] = {}
-    total = 0
-    for vid, bid in sorted(chosen.items()):
-        edge = graph.edge(bid, vid)
-        routes[vid] = edge.route
-        total += edge.cost
-        for rid in sorted(graph.members(bid)):
-            pairs[rid] = vid
-    kept = sum(1 for rid in pairs if graph.prev_assigned.get(rid) is not None)
-    unassigned = sorted(set(graph.request_ids) - set(pairs))
-    dropped = [rid for rid in unassigned if graph.prev_assigned.get(rid) is not None]
-    return AssignmentSolution(
-        pairs=pairs,
-        routes=routes,
-        kept_previous=kept,
-        assigned_count=len(pairs),
-        total_cost=total,
-        unassigned=unassigned,
-        dropped_previous=dropped,
-        chosen_bundles=dict(sorted(chosen.items())),
-    )
-
-
-def solve_pooling(
-    graph: RTVGraph, frozen: bool = False, method: str = "exact"
-) -> AssignmentSolution:
+def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     """Pick at most one bundle per vehicle, covering each request once.
 
     The objective is lexicographic: keep previously assigned requests
@@ -372,13 +221,7 @@ def solve_pooling(
     total incremental cost. Ties resolve by comparing the chosen
     bundle contents and vehicles, so runs with the same alternatives
     land on the same answer regardless of internal ordering.
-
-    method="bigm" solves the same problem through a single scalar
-    objective with stacked penalty constants; it exists to cross-check
-    the lexicographic search and must always agree with it.
     """
-    if method not in ("exact", "bigm"):
-        raise ValueError(f"unknown method {method!r}")
     options = _vehicle_options(graph, frozen)
     order = graph.vehicle_ids
     prev_members = {
@@ -387,15 +230,6 @@ def solve_pooling(
         )
         for bid in range(len(graph.bundles))
     }
-
-    spread = 1 + sum(abs(edge.cost) for edge in graph.edges.values())
-    drop_penalty = 1 + (len(graph.request_ids) + 2) * spread
-
-    def score(p: int, n: int, c: int):
-        if method == "exact":
-            return (-p, -n, c)
-        return c - n * spread - p * drop_penalty
-
     prev_set = frozenset(
         rid for rid, vid in graph.prev_assigned.items() if vid is not None
     )
@@ -442,7 +276,7 @@ def solve_pooling(
         c: int,
     ):
         if mandatory <= used_veh:
-            value = score(p, n, c)
+            value = (-p, -n, c)
             if incumbent[0] is None or value < incumbent[0]:
                 incumbent[0] = value
                 incumbent[1] = dict(chosen)
@@ -451,9 +285,9 @@ def solve_pooling(
                 # most optimistic completion using any pairs from k on;
                 # it only gets worse as k advances, hence the break
                 open_req = suffix_req[k] - used_req
-                bound = score(
-                    p + len(open_req & prev_set),
-                    n + len(open_req),
+                bound = (
+                    -p - len(open_req & prev_set),
+                    -n - len(open_req),
                     c + suffix_neg[k],
                 )
                 if bound >= incumbent[0]:

@@ -14,8 +14,6 @@ import pytest
 
 from fleetsim.engine import EngineConfig, Mode
 from fleetsim.matching import (
-    RVGraph,
-    RVEdge,
     feasible_vehicles,
     priority_matching_oracle,
     solve_hailing,
@@ -89,7 +87,10 @@ class HailingTrace:
         self.batches.append(
             {
                 "vbar": {rid: frozenset(vids) for rid, vids in reach.items()},
-                "edges": {key: edge.cost for key, edge in ctx.graph.edges.items()},
+                "edges": {
+                    (min(ctx.graph.members(bid)), vid): edge.cost
+                    for (bid, vid), edge in ctx.graph.edges.items()
+                },
                 "pairs": dict(ctx.solution.pairs),
                 "active": tuple(ctx.graph.request_ids),
             }
@@ -176,28 +177,43 @@ def test_criterion_04_zero_bumped_assignments(hailing_battery, pooling_battery):
     report(4, "p_plus stayed 0 under allowed and frozen re-assignment")
 
 
-def _random_rv_instance(rng: random.Random) -> RVGraph:
+def _random_rv_instance(rng: random.Random) -> RTVGraph:
     request_ids = sorted(rng.sample(range(1, 30), rng.randrange(1, 7)))
     vehicle_ids = sorted(rng.sample(range(0, 20), rng.randrange(1, 7)))
-    edges = {}
+    costs = {}
     for rid in request_ids:
         for vid in vehicle_ids:
             if rng.random() < 0.6:
-                edges[(rid, vid)] = RVEdge(rid, vid, rng.randrange(-15, 30), _DUMMY_ROUTE)
+                costs[(rid, vid)] = rng.randrange(-15, 30)
     prev: dict[int, int | None] = {rid: None for rid in request_ids}
     used = set()
-    for rid, vid in sorted(edges):
+    for rid, vid in sorted(costs):
         if vid not in used and rng.random() < 0.3:
             prev[rid] = vid
             used.add(vid)
     vehicles_for = {
-        rid: sorted(v for r, v in edges if r == rid) for rid in request_ids
+        rid: sorted(v for r, v in costs if r == rid) for rid in request_ids
     }
-    return RVGraph(
+    bundles = [
+        Bundle(bid, frozenset({rid}))
+        for bid, rid in enumerate(rid for rid in request_ids if vehicles_for[rid])
+    ]
+    bundle_of = {min(b.members): b.id for b in bundles}
+    edges = {
+        (bundle_of[rid], vid): VBEdge(bundle_of[rid], vid, cost, _DUMMY_ROUTE)
+        for (rid, vid), cost in sorted(costs.items())
+    }
+    return RTVGraph(
         request_ids=request_ids,
         vehicle_ids=vehicle_ids,
+        bundles=bundles,
         edges=edges,
         vehicles_for=vehicles_for,
+        bundles_with={rid: [bundle_of[rid]] if rid in bundle_of else [] for rid in request_ids},
+        vehicle_bundles={
+            vid: [bundle_of[rid] for rid in request_ids if vid in vehicles_for[rid]]
+            for vid in vehicle_ids
+        },
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vehicle_ids},
     )
@@ -209,7 +225,10 @@ def test_criterion_05_hailing_solver_matches_oracle():
     for _ in range(1000):
         graph = _random_rv_instance(rng)
         got = solve_hailing(graph)
-        costs = {key: edge.cost for key, edge in graph.edges.items()}
+        costs = {
+            (min(graph.members(bid)), vid): edge.cost
+            for (bid, vid), edge in graph.edges.items()
+        }
         prev = {rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None}
         kept, assigned, cost, _ = priority_matching_oracle(
             graph.request_ids, graph.vehicle_ids, costs, prev

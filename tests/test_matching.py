@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetsim.matching import (
+    Bundle,
     MatchingError,
-    RVEdge,
-    RVGraph,
+    RTVGraph,
+    VBEdge,
     build_rv_graph,
     candidate_route,
-    competing_requests,
     feasible_vehicles,
     priority_matching_oracle,
     retained_route,
@@ -30,26 +30,42 @@ from fleetsim.model import (
     route_feasible,
 )
 from fleetsim.network import Network, grid_node
+from fleetsim.pooling import solve_pooling
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 
 
 def make_graph(request_ids, vehicle_ids, costs, prev=None):
+    """Singleton-bundle graph from request-vehicle edge costs."""
     prev = dict(prev or {})
-    edges = {
-        pair: RVEdge(pair[0], pair[1], cost, _DUMMY_ROUTE) for pair, cost in costs.items()
-    }
+    bundles = [
+        Bundle(bid, frozenset({rid}))
+        for bid, rid in enumerate(sorted({rid for rid, _ in costs}))
+    ]
+    bundle_of = {min(b.members): b.id for b in bundles}
+    edges = {}
     vehicles_for = {rid: [] for rid in request_ids}
-    for rid, vid in sorted(costs):
+    vehicle_bundles = {vid: [] for vid in vehicle_ids}
+    for (rid, vid), cost in sorted(costs.items(), key=lambda kv: (bundle_of[kv[0][0]], kv[0][1])):
+        edges[(bundle_of[rid], vid)] = VBEdge(bundle_of[rid], vid, cost, _DUMMY_ROUTE)
         vehicles_for[rid].append(vid)
-    return RVGraph(
+        vehicle_bundles[vid].append(bundle_of[rid])
+    return RTVGraph(
         request_ids=sorted(request_ids),
         vehicle_ids=sorted(vehicle_ids),
+        bundles=bundles,
         edges=edges,
         vehicles_for=vehicles_for,
+        bundles_with={rid: [bundle_of[rid]] if rid in bundle_of else [] for rid in request_ids},
+        vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
     )
+
+
+def rv_edge(graph, request_id, vehicle_id):
+    """The edge of a request's singleton bundle to a vehicle."""
+    return graph.edge(graph.bundles_with[request_id][0], vehicle_id)
 
 
 @st.composite
@@ -126,6 +142,24 @@ def test_frozen_mode_locks_previous_pairs(instance):
     assert solution.pairs == expected_pairs
     assert solution.assigned_count == len(prev) + extra_n
     assert solution.total_cost == sum(costs[p] for p in prev.items()) + extra_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(matching_instances(), st.booleans())
+def test_matcher_is_the_singleton_case_of_the_bundle_search(instance, frozen):
+    """On singleton bundles the matcher and the bundle search reach the
+    same (kept, assigned, cost) optimum."""
+    graph = make_graph(*instance)
+    assert solve_hailing(graph, frozen=frozen).value == solve_pooling(graph, frozen=frozen).value
+
+
+def test_matcher_and_bundle_search_break_ties_differently():
+    # both optima serve two requests at cost 0; the matcher prefers the
+    # served set {1, 2}, the bundle search the chain (1, 10), (3, 20)
+    costs = {(1, 10): 0, (1, 20): 0, (2, 10): 0, (3, 20): 0}
+    graph = make_graph([1, 2, 3], [10, 20], costs)
+    assert solve_hailing(graph).pairs == {1: 20, 2: 10}
+    assert solve_pooling(graph).pairs == {1: 10, 3: 20}
 
 
 def test_frozen_mode_requires_surviving_edges():
@@ -205,7 +239,7 @@ def test_rv_graph_reach_boundary():
     _add_request(state, 1, grid_node(5, 4, 1), grid_node(5, 0, 4), max_wait=5, net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
     assert graph.vehicles_for[1] == [0]
-    assert (1, 0) in graph.edges
+    assert (graph.bundles_with[1][0], 0) in graph.edges
 
     net, state = _basic_state()
     _add_request(state, 1, grid_node(5, 4, 2), grid_node(5, 0, 4), max_wait=5, net=net)
@@ -218,7 +252,7 @@ def test_rv_graph_frozen_cost_example():
     net, state = _basic_state()
     _add_request(state, 1, grid_node(5, 1, 0), grid_node(5, 3, 0), net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
-    edge = graph.edge(1, 0)
+    edge = rv_edge(graph, 1, 0)
     # drive 3, wait 1, ride 2 against an empty committed plan
     assert edge.cost == 6
     ok, reason = route_feasible(state.vehicles[0], edge.route, 0, net, state.requests)
@@ -246,7 +280,7 @@ def test_rv_graph_release_after_onboard_dropoff():
     assert graph.vehicles_for[1] == []
     assert graph.vehicles_for[2] == [1]
 
-    edge = graph.edge(2, 1)
+    edge = rv_edge(graph, 2, 1)
     # candidate: drop rider at 2, pick at 4, drop at 6; baseline drive 2 ride 2
     assert graph.baseline_cost[1] == 4
     assert edge.cost == (6 + 4 + (2 + 2)) - 4
@@ -276,9 +310,9 @@ def test_rv_graph_pending_pickup_is_revocable():
     assert graph.prev_assigned == {3: 0, 4: None}
     # keeping the current assignment re-derives the committed plan, and its
     # edge is priced at the full remaining plan cost against an empty baseline
-    assert graph.edge(3, 0).route == vehicle.route
+    assert rv_edge(graph, 3, 0).route == vehicle.route
     assert graph.baseline_cost[0] == 0
-    assert graph.edge(3, 0).cost == 3 + 2 + 2
+    assert rv_edge(graph, 3, 0).cost == 3 + 2 + 2
 
 
 def test_rv_graph_mid_edge_release():
@@ -291,7 +325,7 @@ def test_rv_graph_mid_edge_release():
     graph = build_rv_graph(state, net, 3, CostWeights())
     # pickup at 4 + 1 = 5, deadline 3 + 2 = 5
     assert graph.vehicles_for[1] == [0]
-    assert graph.edge(1, 0).route.stops[0].planned_arrival == 5
+    assert rv_edge(graph, 1, 0).route.stops[0].planned_arrival == 5
 
 
 def test_rv_graph_ride_bound_blocks_everything():
@@ -343,10 +377,3 @@ def test_feasible_vehicles_shrink_as_time_passes():
     after = feasible_vehicles(state, net, 2)
     for rid in after:
         assert set(after[rid]) <= set(before[rid])
-
-
-def test_competing_requests():
-    costs = {(1, 10): 0, (2, 10): 0, (3, 20): 0}
-    graph = make_graph([1, 2, 3], [10, 20], costs)
-    assert competing_requests(graph, 1) == [2]
-    assert competing_requests(graph, 3) == []

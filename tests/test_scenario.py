@@ -288,3 +288,6 @@ def test_cli_validation_failures_exit_one(tmp_path, capsys):
     assert "demand.rate" in capsys.readouterr().err
     missing_out = main(["run", "--dump-graphs"])
     assert missing_out == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --out" in captured.err
