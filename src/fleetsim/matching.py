@@ -33,9 +33,6 @@ class Bundle:
     id: int
     members: frozenset[int]
 
-    def key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.members), tuple(sorted(self.members)))
-
 
 @dataclass(frozen=True)
 class VBEdge:

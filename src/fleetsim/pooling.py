@@ -224,12 +224,6 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     """
     options = _vehicle_options(graph, frozen)
     order = graph.vehicle_ids
-    prev_members = {
-        bid: sum(
-            1 for rid in graph.members(bid) if graph.prev_assigned.get(rid) is not None
-        )
-        for bid in range(len(graph.bundles))
-    }
     prev_set = frozenset(
         rid for rid, vid in graph.prev_assigned.items() if vid is not None
     )
@@ -250,19 +244,68 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
             vid,
             bid,
             graph.edge(bid, vid).cost,
-            prev_members[bid],
+            len(graph.members(bid) & prev_set),
             graph.members(bid),
         )
         for _, vid, bid in pairs
     ]
     mandatory = frozenset(vid for vid in order if None not in options[vid])
 
+    # Per suffix k of `choices`: the requests it still covers (and which
+    # of those were assigned before), each vehicle's largest bundle size
+    # in it and their total, and every request's cost share in it, the
+    # least cost // size over the suffix's bundles holding the request,
+    # listed cheapest first. A bundle costs at least the sum of its
+    # members' shares, floor division included, and one vehicle takes
+    # at most its largest bundle, so the shares and capacities bound
+    # any completion from k on.
     total = len(choices)
     suffix_req: list[frozenset[int]] = [frozenset()] * (total + 1)
-    suffix_neg = [0] * (total + 1)
+    suffix_prev: list[frozenset[int]] = [frozenset()] * (total + 1)
+    suffix_caps: list[dict[int, int]] = [{}] * (total + 1)
+    suffix_cap = [0] * (total + 1)
+    suffix_shares: list[list[tuple[int, int]]] = [[]] * (total + 1)
+    caps = dict.fromkeys(order, 0)
+    share: dict[int, int] = {}
+    ranked: list[tuple[int, int]] = []
     for j in range(total - 1, -1, -1):
-        suffix_req[j] = suffix_req[j + 1] | choices[j][4]
-        suffix_neg[j] = suffix_neg[j + 1] + min(0, choices[j][2])
+        vid, _, cost, _, members = choices[j]
+        suffix_req[j] = suffix_req[j + 1] | members
+        suffix_prev[j] = suffix_req[j] & prev_set
+        suffix_cap[j] = suffix_cap[j + 1]
+        if len(members) > caps[vid]:
+            suffix_cap[j] += len(members) - caps[vid]
+            caps = {**caps, vid: len(members)}
+        suffix_caps[j] = caps
+        each = cost // len(members)
+        lowered = False
+        for rid in members:
+            if rid not in share or each < share[rid]:
+                share[rid] = each
+                lowered = True
+        if lowered:
+            ranked = sorted(zip(share.values(), share))
+        suffix_shares[j] = ranked
+
+    def beaten(best, k, used_req, used_veh, p, n, c) -> bool:
+        """Whether `best` is at or below the floor on every completion
+        from choices[k:], compared one priority at a time."""
+        kept = -p - len(suffix_prev[k] - used_req)
+        if kept != best[0]:
+            return kept > best[0]
+        open_count = len(suffix_req[k] - used_req)
+        room = suffix_cap[k] - sum(map(suffix_caps[k].__getitem__, used_veh))
+        extra = min(open_count, room)
+        if -n - extra != best[1]:
+            return -n - extra > best[1]
+        low = c
+        for s, rid in suffix_shares[k]:
+            if not extra:
+                break
+            if rid not in used_req:
+                low += s
+                extra -= 1
+        return low >= best[2]
 
     incumbent: list = [None, None]  # score, chosen dict
 
@@ -281,20 +324,15 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
                 incumbent[0] = value
                 incumbent[1] = dict(chosen)
         for k in range(start, total):
-            if incumbent[0] is not None:
-                # most optimistic completion using any pairs from k on;
-                # it only gets worse as k advances, hence the break
-                open_req = suffix_req[k] - used_req
-                bound = (
-                    -p - len(open_req & prev_set),
-                    -n - len(open_req),
-                    c + suffix_neg[k],
-                )
-                if bound >= incumbent[0]:
-                    break
             vid, bid, cost, pm, members = choices[k]
             if vid in used_veh or used_req & members:
                 continue
+            # the bound only grows as k advances, hence the break; the
+            # incumbent cannot change across the skipped conflicts
+            if incumbent[0] is not None and beaten(
+                incumbent[0], k, used_req, used_veh, p, n, c
+            ):
+                break
             chosen[vid] = bid
             walk(
                 k + 1,

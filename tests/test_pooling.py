@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -477,6 +478,80 @@ def test_solver_matches_exhaustive_enumeration():
             assert got_frozen.pairs == want_frozen.pairs
             assert got_frozen.chosen_bundles == want_frozen.chosen_bundles
     assert checked >= 80
+
+
+def test_solver_finds_cheap_vehicles_listed_after_dear_ones():
+    # request r may ride vehicle 2r at cost 2 or vehicle 2r + 1 at cost 1,
+    # so the tie-key order meets the dearest full cover first; without a
+    # per-request cost floor every equal-coverage subtree gets searched
+    requests = range(30)
+    edge_costs = {}
+    for rid in requests:
+        edge_costs[((rid,), 2 * rid)] = 2
+        edge_costs[((rid,), 2 * rid + 1)] = 1
+    graph = synth_graph([(rid,) for rid in requests], edge_costs)
+    started = time.perf_counter()
+    solution = solve_pooling(graph)
+    assert time.perf_counter() - started < 5
+    assert solution.pairs == {rid: 2 * rid + 1 for rid in requests}
+    assert solution.value == (0, 30, 30)
+
+
+def _crowded_synth(rng):
+    """More open requests than 1-3 vehicles with bundles of 1-3 can carry.
+
+    Each vehicle with commitments holds them inside one bundle, and
+    those bundles are disjoint, so frozen mode always has a solution.
+    """
+    rids = list(range(1, rng.randint(5, 8) + 1))
+    vids = list(range(rng.randint(1, 3)))
+    groups = {
+        tuple(sorted(rng.sample(rids, rng.randint(1, 3))))
+        for _ in range(rng.randint(4, 10))
+    }
+    edge_costs = {}
+    for members in sorted(groups):
+        for vid in vids:
+            if rng.random() < 0.6 and len(edge_costs) < 20:
+                edge_costs[(members, vid)] = rng.randint(-12, 25)
+    if not edge_costs:
+        return None
+    prev = {}
+    committed: set[int] = set()
+    claimed: set[int] = set()
+    for members, vid in sorted(edge_costs):
+        if vid in committed or claimed & set(members) or rng.random() < 0.5:
+            continue
+        committed.add(vid)
+        claimed |= set(members)
+        for rid in members:
+            if rng.random() < 0.6:
+                prev[rid] = vid
+    groups = sorted({m for m, _ in edge_costs})
+    return synth_graph(groups, edge_costs, prev=prev, vehicle_ids=vids, extra_requests=rids)
+
+
+def test_solver_matches_exhaustive_enumeration_when_vehicles_run_short():
+    rng = random.Random(7301)
+    checked = short = 0
+    for _ in range(300):
+        graph = _crowded_synth(rng)
+        if graph is None:
+            continue
+        checked += 1
+        coverable = set().union(*(graph.members(bid) for bid, _ in graph.edges))
+        for frozen in (False, True):
+            want = exhaustive_pooling_oracle(graph, frozen=frozen)
+            got = solve_pooling(graph, frozen=frozen)
+            assert got.pairs == want.pairs
+            assert got.chosen_bundles == want.chosen_bundles
+            assert got.value == want.value
+            if not frozen:
+                short += want.assigned_count < len(coverable)
+    assert checked >= 250
+    # the case the vehicle coverage cap is for: the optimum leaves a
+    # coverable request out
+    assert short >= 100
 
 
 def test_solver_end_to_end_against_oracle_on_real_graphs():
