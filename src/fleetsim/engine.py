@@ -229,9 +229,15 @@ def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Netwo
 
     for vehicle in state.sorted_vehicles():
         if vehicle.id in solution.routes:
-            install_route(vehicle, solution.routes[vehicle.id], now, net)
+            route = solution.routes[vehicle.id]
         else:
-            install_route(vehicle, retained_route(vehicle, now, net), now, net)
+            route = retained_route(vehicle, now, net)
+        # An unchanged route keeps its plan: after `transition` the plan
+        # continues from (position, free_at), and each leg's shortest
+        # path depends only on its current node and target, so a rebuild
+        # would give the same entries.
+        if route != vehicle.route:
+            install_route(vehicle, route, now, net)
     return events
 
 

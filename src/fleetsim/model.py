@@ -41,6 +41,37 @@ class LeaveReason(str, enum.Enum):
     WALK_AWAY = "walk_away"
 
 
+class StatusIndex:
+    """Request ids by status, for one SystemState.
+
+    `changed` holds the ids added, or whose status was written, since
+    the state's last validate_state.
+    """
+
+    __slots__ = ("ids", "changed")
+
+    def __init__(self) -> None:
+        self.ids: dict[RequestStatus, set[int]] = {status: set() for status in RequestStatus}
+        self.changed: set[int] = set()
+
+
+class _IndexedStatus:
+    """`Request.status`: every write also moves the id in its state's index.
+
+    With no `__get__`, reads find the value in the instance dict at plain
+    attribute speed; only writes, from the status machine or direct
+    assignment, go through `__set__`.
+    """
+
+    def __set__(self, request: "Request", status: RequestStatus) -> None:
+        index = request._index
+        if index is not None:
+            index.ids[request.__dict__["status"]].discard(request.id)
+            index.ids[status].add(request.id)
+            index.changed.add(request.id)
+        request.__dict__["status"] = status
+
+
 @dataclass
 class Request:
     """One trip request with its service-quality bounds.
@@ -66,6 +97,9 @@ class Request:
     dropoff_time: int | None = None
     left_time: int | None = None
     left_reason: LeaveReason | None = None
+    # the StatusIndex of the state holding this request; a request never
+    # points at its state, so dropping a state frees it without a cycle
+    _index = None
 
     def __post_init__(self) -> None:
         if self.origin == self.destination:
@@ -121,6 +155,11 @@ class Request:
             raise StatusError(
                 f"request {self.id}: cannot {action} while {self.status.value}"
             )
+
+
+# Installed after the dataclass is built, so that the field keeps its
+# plain default and `__init__` writes the initial status through it.
+Request.status = _IndexedStatus()
 
 
 @dataclass(frozen=True)
@@ -250,11 +289,20 @@ class SystemState:
     now: int = 0
     requests: dict[int, Request] = field(default_factory=dict)
     vehicles: dict[int, Vehicle] = field(default_factory=dict)
+    _index: StatusIndex = field(
+        default_factory=StatusIndex, init=False, repr=False, compare=False
+    )
 
     def add_request(self, request: Request) -> None:
         if request.id in self.requests:
             raise ValueError(f"duplicate request id {request.id}")
+        if request._index is not None:
+            # its status writes keep only one state's index current
+            raise ValueError(f"request {request.id} already belongs to a state")
         self.requests[request.id] = request
+        request._index = self._index
+        self._index.ids[request.status].add(request.id)
+        self._index.changed.add(request.id)
 
     def add_vehicle(self, vehicle: Vehicle) -> None:
         if vehicle.id in self.vehicles:
@@ -266,15 +314,25 @@ class SystemState:
 
     def active_requests(self) -> list[Request]:
         """Open requests the dispatcher may (re)assign, in id order."""
+        ids = self._index.ids
         return [
             self.requests[rid]
-            for rid in sorted(self.requests)
-            if self.requests[rid].status
-            in (RequestStatus.NOT_ASSIGNED, RequestStatus.WAITING)
+            for rid in sorted(ids[RequestStatus.NOT_ASSIGNED] | ids[RequestStatus.WAITING])
         ]
 
     def status_ids(self, status: RequestStatus) -> list[int]:
-        return [rid for rid in sorted(self.requests) if self.requests[rid].status is status]
+        return sorted(self._index.ids[status])
+
+    def settled(self) -> bool:
+        """Whether every request has been served or has left."""
+        ids = self._index.ids
+        return len(ids[RequestStatus.SERVED]) + len(ids[RequestStatus.LEFT]) == len(
+            self.requests
+        )
+
+    def recheck_all(self) -> None:
+        """Put every request in scope of the next validate_state."""
+        self._index.changed.update(self.requests)
 
 
 # -- schedules ----------------------------------------------------------------
@@ -417,7 +475,13 @@ def validate_state(state: SystemState, net: Network | None = None) -> list[str]:
     """Collect consistency violations; an empty list means a sound state.
 
     Violations are returned as data rather than raised so callers can
-    report several at once.
+    report several at once. Every vehicle is checked, and every request
+    that is open or on board, that a vehicle's route or on-board set
+    names, or that was added or changed status since the state's last
+    check. An unrevealed or settled request outside that scope was
+    checked when it last changed status, and no step touches it
+    afterwards; `SystemState.recheck_all()` brings every request back
+    into scope for a full check.
     """
     problems: list[str] = []
     waiting_refs: dict[int, list[int]] = {}
@@ -430,7 +494,13 @@ def validate_state(state: SystemState, net: Network | None = None) -> list[str]:
             )
         for rid in vehicle.onboard:
             onboard_refs.setdefault(rid, []).append(vehicle.id)
-        if vehicle.route is not None:
+        if vehicle.route is None:
+            if vehicle.onboard:
+                problems.append(
+                    f"vehicle {vehicle.id}: carries {sorted(vehicle.onboard)} "
+                    "but has no route"
+                )
+        else:
             try:
                 vehicle.route.validate_structure(vehicle.onboard)
             except RouteStructureError as exc:
@@ -438,11 +508,26 @@ def validate_state(state: SystemState, net: Network | None = None) -> list[str]:
             for rid in vehicle.route.picked_ids():
                 waiting_refs.setdefault(rid, []).append(vehicle.id)
 
-    for rid in sorted(state.requests):
-        request = state.requests[rid]
-        status = request.status
+    index = state._index
+    scope = index.changed.union(
+        index.ids[RequestStatus.NOT_ASSIGNED],
+        index.ids[RequestStatus.WAITING],
+        index.ids[RequestStatus.ON_BOARD],
+        waiting_refs,
+        onboard_refs,
+    )
+    index.changed.clear()
+    for rid in sorted(scope):
         in_routes = waiting_refs.get(rid, [])
         in_onboard = onboard_refs.get(rid, [])
+        request = state.requests.get(rid)
+        if request is None:
+            problems.append(
+                f"request {rid}: not in the state, yet held by vehicles "
+                f"{sorted(set(in_routes + in_onboard))}"
+            )
+            continue
+        status = request.status
         if status is RequestStatus.WAITING:
             if len(in_routes) != 1:
                 problems.append(

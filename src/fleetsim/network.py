@@ -168,12 +168,19 @@ class Network:
 
     def travel_time(self, origin: int, destination: int) -> int:
         """Shortest travel time between two nodes; zero when they coincide."""
-        a = self._require(origin)
-        b = self._require(destination)
+        try:
+            a = self._index[origin]
+            b = self._index[destination]
+        except KeyError:
+            # names the unknown endpoint, as every other query does
+            self._require(origin)
+            self._require(destination)
+            raise
+        if self._table is not None:
+            return self._table[a][b]
         if a == b:
             return 0
-        dist = self._dist_from(a)
-        return dist[b]
+        return self._dist_from(a)[b]
 
     def shortest_path(self, origin: int, destination: int) -> PathResult:
         """Minimum-time path, breaking ties by smallest node sequence.

@@ -254,20 +254,22 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     # Per suffix k of `choices`: the requests it still covers (and which
     # of those were assigned before), each vehicle's largest bundle size
     # in it and their total, and every request's cost share in it, the
-    # least cost // size over the suffix's bundles holding the request,
-    # listed cheapest first. A bundle costs at least the sum of its
-    # members' shares, floor division included, and one vehicle takes
-    # at most its largest bundle, so the shares and capacities bound
-    # any completion from k on.
+    # least cost // size over the suffix's bundles holding the request.
+    # A bundle costs at least the sum of its members' shares, floor
+    # division included, and one vehicle takes at most its largest
+    # bundle, so the shares and capacities bound any completion from k
+    # on. The shares of suffix k equal those of suffix share_from[k],
+    # the nearest one that lowered a share; they are ranked cheapest
+    # first only when a bound first needs them.
     total = len(choices)
     suffix_req: list[frozenset[int]] = [frozenset()] * (total + 1)
     suffix_prev: list[frozenset[int]] = [frozenset()] * (total + 1)
     suffix_caps: list[dict[int, int]] = [{}] * (total + 1)
     suffix_cap = [0] * (total + 1)
-    suffix_shares: list[list[tuple[int, int]]] = [[]] * (total + 1)
+    share_from = [total] * (total + 1)
     caps = dict.fromkeys(order, 0)
     share: dict[int, int] = {}
-    ranked: list[tuple[int, int]] = []
+    tables: dict[int, dict[int, int]] = {}
     for j in range(total - 1, -1, -1):
         vid, _, cost, _, members = choices[j]
         suffix_req[j] = suffix_req[j + 1] | members
@@ -277,15 +279,23 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
             suffix_cap[j] += len(members) - caps[vid]
             caps = {**caps, vid: len(members)}
         suffix_caps[j] = caps
+        share_from[j] = share_from[j + 1]
         each = cost // len(members)
-        lowered = False
         for rid in members:
             if rid not in share or each < share[rid]:
                 share[rid] = each
-                lowered = True
-        if lowered:
-            ranked = sorted(zip(share.values(), share))
-        suffix_shares[j] = ranked
+                share_from[j] = j
+        if share_from[j] == j:
+            tables[j] = share.copy()
+    rankings: dict[int, list[tuple[int, int]]] = {}
+
+    def ranked_shares(k: int) -> list[tuple[int, int]]:
+        j = share_from[k]
+        ranked = rankings.get(j)
+        if ranked is None:
+            table = tables[j]
+            ranked = rankings[j] = sorted(zip(table.values(), table))
+        return ranked
 
     def beaten(best, k, used_req, used_veh, p, n, c) -> bool:
         """Whether `best` is at or below the floor on every completion
@@ -299,7 +309,7 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
         if -n - extra != best[1]:
             return -n - extra > best[1]
         low = c
-        for s, rid in suffix_shares[k]:
+        for s, rid in ranked_shares(k):
             if not extra:
                 break
             if rid not in used_req:

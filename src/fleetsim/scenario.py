@@ -27,7 +27,7 @@ from .engine import (
     RejectionPolicy,
     step,
 )
-from .model import Request, RequestStatus, SystemState, Vehicle
+from .model import Request, RequestStatus, SystemState, Vehicle, validate_state
 from .network import Network
 
 
@@ -195,10 +195,7 @@ def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
         batch_events, delta = step(state, cfg.engine, net, counting_observer)
         events += batch_events
         total = total + delta
-        if index + 1 >= cfg.engine.horizon and all(
-            r.status in (RequestStatus.SERVED, RequestStatus.LEFT)
-            for r in state.requests.values()
-        ):
+        if index + 1 >= cfg.engine.horizon and state.settled():
             break
     else:
         unfinished = [
@@ -208,6 +205,11 @@ def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
         ]
         if unfinished:
             raise EngineError(f"requests never settled: {unfinished}")
+    # each step checks only its live part of the state; check all of it once
+    state.recheck_all()
+    problems = validate_state(state, net)
+    if problems:
+        raise EngineError("final state is broken: " + "; ".join(problems))
     wallclock_ms = int((_time.perf_counter() - started) * 1000)
 
     served = [r for r in state.requests.values() if r.status is RequestStatus.SERVED]

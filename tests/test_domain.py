@@ -451,6 +451,61 @@ def test_served_and_left_bookkeeping_checks():
     assert any("left without a reason" in p for p in problems)
 
 
+def test_validate_state_flags_riders_and_pickups_missing_from_the_state():
+    state = SystemState()
+    state.add_vehicle(Vehicle(id=0, capacity=1, position=0, onboard={77}))
+    state.vehicles[0].route = Route((Stop(2, frozenset(), frozenset({77}), 2),))
+    assert validate_state(state) == [
+        "request 77: not in the state, yet held by vehicles [0]"
+    ]
+
+    net, state = _clean_state()
+    vehicle = state.vehicles[0]
+    stops = list(vehicle.route.stops)
+    stops[0] = Stop(stops[0].location, frozenset({1, 8}), frozenset(), stops[0].planned_arrival)
+    stops[1] = Stop(stops[1].location, frozenset(), frozenset({1, 8}), stops[1].planned_arrival)
+    vehicle.route = Route(tuple(stops))
+    assert validate_state(state, net) == [
+        "request 8: not in the state, yet held by vehicles [0]"
+    ]
+
+
+def test_validate_state_flags_riders_without_a_route():
+    state = SystemState()
+    rider = make_request(1, 0, 2)
+    rider.reveal()
+    rider.assign(0)
+    rider.board(0)
+    state.add_request(rider)
+    state.add_vehicle(Vehicle(id=0, capacity=1, position=0, onboard={1}))
+    assert validate_state(state) == ["vehicle 0: carries [1] but has no route"]
+
+
+def test_validate_state_scope_skips_only_unchanged_settled_requests():
+    net, state = _clean_state()
+    done = make_request(5, 1, 3, request_time=0)
+    state.add_request(done)
+    done.reveal()
+    done.assign(0)
+    done.board(1)
+    done.complete(3)
+    assert validate_state(state, net) == []
+    # settled, named by no vehicle, status unchanged since the check: out
+    # of scope until a full check
+    done.dropoff_time = None
+    assert validate_state(state, net) == []
+    state.recheck_all()
+    assert validate_state(state, net) == ["request 5: served without realized times"]
+    # a status write puts it back in scope, whatever wrote it
+    done.status = RequestStatus.LEFT
+    assert validate_state(state, net) == ["request 5: left without a reason"]
+    done.left_reason = LeaveReason.WALK_AWAY
+    assert validate_state(state, net) == []
+    # a vehicle naming it puts it back in scope as well
+    state.vehicles[0].onboard.add(5)
+    assert "request 5: status left yet on board a vehicle" in validate_state(state)
+
+
 def test_state_rejects_duplicate_ids():
     state = SystemState()
     state.add_request(make_request(1, 0, 2))
@@ -459,6 +514,8 @@ def test_state_rejects_duplicate_ids():
     state.add_vehicle(Vehicle(id=0, capacity=1, position=0))
     with pytest.raises(ValueError):
         state.add_vehicle(Vehicle(id=0, capacity=2, position=1))
+    with pytest.raises(ValueError, match="already belongs to a state"):
+        SystemState().add_request(state.requests[1])
 
 
 def test_active_requests_ordering():
@@ -469,3 +526,11 @@ def test_active_requests_ordering():
         state.add_request(r)
     assert [r.id for r in state.active_requests()] == [1, 3]
     assert state.status_ids(RequestStatus.SERVED) == [2]
+    # writes after adding move the id, through the status machine or not
+    state.requests[3].assign(0)
+    state.requests[1].status = RequestStatus.LEFT
+    assert [r.id for r in state.active_requests()] == [3]
+    assert state.status_ids(RequestStatus.WAITING) == [3]
+    assert state.status_ids(RequestStatus.LEFT) == [1]
+    assert state.status_ids(RequestStatus.NOT_ASSIGNED) == []
+    assert not state.settled()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from fleetsim import engine
 from fleetsim.engine import (
     EngineConfig,
     EngineError,
@@ -17,11 +18,12 @@ from fleetsim.engine import (
     RejectionPolicy,
     accumulate_objective,
     apply_assignment,
+    install_route,
     reveal_requests,
     step,
     walkaway_sweep,
 )
-from fleetsim.matching import AssignmentSolution
+from fleetsim.matching import AssignmentSolution, retained_route
 from fleetsim.model import (
     LeaveReason,
     Request,
@@ -30,8 +32,10 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
+    validate_state,
 )
 from fleetsim.network import Network, grid_node
+from fleetsim.scenario import ScenarioConfig, build_fleet, generate_demand
 
 
 def fresh_request(rid, origin, destination, request_time=0, max_wait=5, max_ride=20):
@@ -324,3 +328,87 @@ def test_random_mini_runs_stay_clean(mode, policy):
         # identical rebuild, identical log
         replay_events, _ = run_batches(build(seed), cfg, net, 30)
         assert replay_events == events
+
+
+def _scenario_state(mode, reassignment, batch_interval, seed):
+    cfg = ScenarioConfig(
+        seed=seed, grid_width=8, grid_height=8, vehicle_count=4,
+        vehicle_capacity=3 if mode is Mode.POOLING else 1,
+        rate=1.2, max_wait_low=3, max_wait_high=5,
+        engine=EngineConfig(
+            mode=mode, reassignment=reassignment, batch_interval=batch_interval,
+            horizon=25, max_bundle_size=3 if mode is Mode.POOLING else None,
+            rejection_policy=RejectionPolicy.WALK_AWAY if seed % 2 else RejectionPolicy.EARLY_REJECT,
+        ),
+    )
+    net = cfg.build_network()
+    state = SystemState()
+    for vehicle in build_fleet(cfg, net):
+        state.add_vehicle(vehicle)
+    for request in generate_demand(cfg, net):
+        state.add_request(request)
+    return cfg.engine, net, state
+
+
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+@pytest.mark.parametrize("reassignment", [Reassignment.ALLOWED, Reassignment.FROZEN])
+@pytest.mark.parametrize("batch_interval", [1, 2])
+def test_status_index_matches_a_full_scan_after_every_step(mode, reassignment, batch_interval):
+    for seed in (1, 2):
+        cfg, net, state = _scenario_state(mode, reassignment, batch_interval, seed)
+        assert len(state.requests) > 10
+        for _ in range(60):
+            step(state, cfg, net)
+            for status in RequestStatus:
+                assert state.status_ids(status) == [
+                    rid for rid in sorted(state.requests)
+                    if state.requests[rid].status is status
+                ]
+            assert state.active_requests() == [
+                state.requests[rid] for rid in sorted(state.requests)
+                if state.requests[rid].status
+                in (RequestStatus.NOT_ASSIGNED, RequestStatus.WAITING)
+            ]
+            assert state.settled() == all(
+                r.status in (RequestStatus.SERVED, RequestStatus.LEFT)
+                for r in state.requests.values()
+            )
+            state.recheck_all()
+            assert validate_state(state, net) == []
+        assert state.settled()
+
+
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+def test_kept_routes_keep_the_plan_a_fresh_install_would_build(monkeypatch, mode):
+    # apply_assignment re-plans only changed routes; a kept plan must be
+    # exactly what install_route would build from the vehicle's state now
+    kept = []
+
+    def checked_apply(state, solution, cfg, net):
+        before = {vid: v.plan for vid, v in state.vehicles.items()}
+        wanted = {
+            vid: solution.routes[vid] if vid in solution.routes
+            else retained_route(v, state.now, net)
+            for vid, v in state.vehicles.items()
+        }
+        events = original_apply(state, solution, cfg, net)
+        for vid, vehicle in state.vehicles.items():
+            assert vehicle.route == wanted[vid]
+            if vehicle.plan is not before[vid] or vehicle.route is None:
+                continue
+            fresh = Vehicle(
+                id=vid, capacity=vehicle.capacity, position=vehicle.position,
+                free_at=vehicle.free_at, onboard=set(vehicle.onboard),
+            )
+            install_route(fresh, vehicle.route, state.now, net)
+            assert fresh.plan == vehicle.plan[vehicle.plan_cursor:]
+            kept.append(vid)
+        return events
+
+    original_apply = engine.apply_assignment
+    monkeypatch.setattr(engine, "apply_assignment", checked_apply)
+    for seed in (1, 2):
+        cfg, net, state = _scenario_state(mode, Reassignment.ALLOWED, 1, seed)
+        for _ in range(60):
+            step(state, cfg, net)
+    assert len(kept) > 50
