@@ -24,7 +24,6 @@ from .matching import (
     MatchingError,
     build_rv_graph,
     feasible_vehicles,
-    priority_matching_oracle,
     solve_hailing,
 )
 from .model import (
@@ -39,7 +38,6 @@ from .model import (
     SystemState,
     Vehicle,
     route_cost,
-    route_feasible,
     validate_state,
 )
 from .network import Network, NetworkError, PathResult, grid_node
@@ -50,7 +48,6 @@ from .pooling import (
     best_route,
     build_rtv_graph,
     divertable_vehicles,
-    exhaustive_pooling_oracle,
     solve_pooling,
 )
 from .scenario import (
@@ -108,14 +105,11 @@ __all__ = [
     "build_rv_graph",
     "divertable_vehicles",
     "emit_metrics",
-    "exhaustive_pooling_oracle",
     "feasible_vehicles",
     "generate_demand",
     "grid_node",
     "parse_config",
-    "priority_matching_oracle",
     "route_cost",
-    "route_feasible",
     "run_scenario",
     "solve_hailing",
     "solve_pooling",

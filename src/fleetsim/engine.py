@@ -164,7 +164,6 @@ def install_route(vehicle: Vehicle, route: Route | None, now: int, net: Network)
     if route is None:
         vehicle.route = None
         vehicle.plan = []
-        vehicle.plan_cursor = 0
         return
     node, time = plan_start(vehicle, now)
     entries: list[object] = []
@@ -184,7 +183,6 @@ def install_route(vehicle: Vehicle, route: Route | None, now: int, net: Network)
         node = stop.location
     vehicle.route = route
     vehicle.plan = entries
-    vehicle.plan_cursor = 0
 
 
 def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Network) -> list[Event]:
@@ -247,8 +245,9 @@ def transition(state: SystemState, cfg: EngineConfig, net: Network) -> list[Even
     t_end = state.now + cfg.batch_interval
     events = []
     for vehicle in state.sorted_vehicles():
-        while vehicle.plan_cursor < len(vehicle.plan):
-            entry = vehicle.plan[vehicle.plan_cursor]
+        cursor = 0
+        while cursor < len(vehicle.plan):
+            entry = vehicle.plan[cursor]
             if isinstance(entry, PlanMove):
                 # an edge is entered strictly before the batch boundary and,
                 # once entered, binds the vehicle to its far end
@@ -273,9 +272,8 @@ def transition(state: SystemState, cfg: EngineConfig, net: Network) -> list[Even
                     events.append(
                         Event(batch, EventKind.PICKED_UP, rid, vehicle.id, stop.planned_arrival)
                     )
-            vehicle.plan_cursor += 1
-        vehicle.plan = vehicle.plan[vehicle.plan_cursor :]
-        vehicle.plan_cursor = 0
+            cursor += 1
+        vehicle.plan = vehicle.plan[cursor:]
         left = tuple(e.stop for e in vehicle.plan if isinstance(e, PlanStop))
         vehicle.route = Route(left) if left else None
     state.now = t_end
@@ -299,35 +297,12 @@ def walkaway_sweep(state: SystemState, cfg: EngineConfig) -> list[Event]:
     return events
 
 
-def accumulate_objective(events, requests=None, driven_time: int = 0) -> ObjectiveReport:
+def accumulate_objective(events, requests, driven_time: int = 0) -> ObjectiveReport:
     """Tally penalties and realized cost components from an event slice.
 
-    Waiting and riding times need each request's arrival and boarding
-    times; they are read from REVEALED / PICKED_UP events in the slice
-    when present, else from `requests`.
+    Waiting and riding times read each request's `request_time` and
+    `pickup_time` from `requests`.
     """
-    revealed: dict[int, int] = {}
-    picked: dict[int, int] = {}
-    for event in events:
-        if event.kind is EventKind.REVEALED:
-            revealed[event.request] = event.time
-        elif event.kind is EventKind.PICKED_UP:
-            picked[event.request] = event.time
-
-    def requested_at(rid: int) -> int:
-        if rid in revealed:
-            return revealed[rid]
-        if requests is not None:
-            return requests[rid].request_time
-        raise ValueError(f"request {rid}: arrival time not in slice; pass requests")
-
-    def picked_at(rid: int) -> int:
-        if rid in picked:
-            return picked[rid]
-        if requests is not None and requests[rid].pickup_time is not None:
-            return requests[rid].pickup_time
-        raise ValueError(f"request {rid}: pickup time not in slice; pass requests")
-
     p_plus = p_minus = waiting = riding = 0
     for event in events:
         if event.kind is EventKind.UNASSIGNED:
@@ -335,9 +310,9 @@ def accumulate_objective(events, requests=None, driven_time: int = 0) -> Objecti
         elif event.kind in (EventKind.REJECTED, EventKind.WALKED_AWAY):
             p_minus += 1
         elif event.kind is EventKind.PICKED_UP:
-            waiting += event.time - requested_at(event.request)
+            waiting += event.time - requests[event.request].request_time
         elif event.kind is EventKind.DROPPED_OFF:
-            riding += event.time - picked_at(event.request)
+            riding += event.time - requests[event.request].pickup_time
     return ObjectiveReport(p_plus, p_minus, driven_time, waiting, riding)
 
 

@@ -186,7 +186,7 @@ def assemble_graph(
         vehicle = state.vehicles[vid]
         kept = retained_route(vehicle, now, net)
         baseline[vid] = (
-            0 if kept is None else route_cost(kept, vehicle, now, net, weights, state.requests)
+            0 if kept is None else route_cost(kept, vehicle, now, weights, state.requests)
         )
     ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
     bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
@@ -241,7 +241,7 @@ def build_rv_graph(
         for vid in vids:
             vehicle = state.vehicles[vid]
             plan = candidate_route(vehicle, request, now, net)
-            fits[vid] = (plan, route_cost(plan, vehicle, now, net, weights, state.requests))
+            fits[vid] = (plan, route_cost(plan, vehicle, now, weights, state.requests))
         if fits:
             plans[frozenset({rid})] = fits
     return assemble_graph(state, net, now, weights, vehicles_for, plans)
@@ -462,62 +462,3 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
         chosen.update((vid, bundle_of[rid]) for rid, vid in matching.items())
     return _solution_from(graph, chosen)
 
-
-def priority_matching_oracle(
-    request_ids: list[int],
-    vehicle_ids: list[int],
-    costs: dict[tuple[int, int], int],
-    prev_assigned: dict[int, int | None],
-) -> tuple[int, int, int, dict[int, int]]:
-    """Exhaustive reference matcher for small instances (<= 8 vehicles).
-
-    Enumerates assignments by dynamic programming over vehicle subsets,
-    ranking each complete matching by (kept previous, assigned count,
-    cost) and then by the same canonical preference as the solver:
-    include low request ids first, give each the lowest-id vehicle.
-    Returns (kept, assigned, cost, pairs).
-    """
-    if len(vehicle_ids) > 8:
-        raise ValueError("oracle is exhaustive; limit instances to 8 vehicles")
-    request_ids = sorted(request_ids)
-    vehicle_ids = sorted(vehicle_ids)
-    big_v = len(vehicle_ids)
-    memo: dict[tuple[int, int], tuple] = {}
-
-    def best(i: int, mask: int) -> tuple:
-        """Suffix value (-kept, -assigned, cost, skip flags, vehicle picks).
-
-        The two key segments are compared whole, flags before picks, so
-        which requests are served outranks which vehicle serves them.
-        """
-        if i == len(request_ids):
-            return (0, 0, 0, (), ())
-        key = (i, mask)
-        if key in memo:
-            return memo[key]
-        rid = request_ids[i]
-        skip = best(i + 1, mask)
-        value = (skip[0], skip[1], skip[2], (1,) + skip[3], (big_v,) + skip[4])
-        weight_prev = 1 if prev_assigned.get(rid) is not None else 0
-        for j, vid in enumerate(vehicle_ids):
-            if mask & (1 << j) or (rid, vid) not in costs:
-                continue
-            rest = best(i + 1, mask | (1 << j))
-            cand = (
-                rest[0] - weight_prev,
-                rest[1] - 1,
-                rest[2] + costs[(rid, vid)],
-                (0,) + rest[3],
-                (j,) + rest[4],
-            )
-            if cand < value:
-                value = cand
-        memo[key] = value
-        return value
-
-    value = best(0, 0)
-    pairs: dict[int, int] = {}
-    for i, rid in enumerate(request_ids):
-        if value[3][i] == 0:
-            pairs[rid] = vehicle_ids[value[4][i]]
-    return (-value[0], -value[1], value[2], pairs)

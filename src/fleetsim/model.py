@@ -197,12 +197,6 @@ class Route:
             out |= stop.pickups
         return frozenset(out)
 
-    def dropped_ids(self) -> frozenset[int]:
-        out: set[int] = set()
-        for stop in self.stops:
-            out |= stop.dropoffs
-        return frozenset(out)
-
     def validate_structure(self, onboard: Iterable[int] = ()) -> None:
         """Check pairing and precedence; raise RouteStructureError if broken.
 
@@ -244,8 +238,8 @@ class Vehicle:
 
     `position` is the node the vehicle is at, or is about to arrive at
     when an edge traversal is in progress; `free_at` is the time it is
-    (or will be) there. `plan` and `plan_cursor` hold the node-granular
-    motion plan for the committed route and are engine-managed.
+    (or will be) there. `plan` holds the node-granular motion plan for
+    the committed route and is engine-managed.
     """
 
     id: int
@@ -256,7 +250,6 @@ class Vehicle:
     route: Route | None = None
     odometer: int = 0
     plan: list = field(default_factory=list)
-    plan_cursor: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -376,65 +369,32 @@ def schedule_stops(
     return tuple(stops)
 
 
-def route_feasible(
-    vehicle: Vehicle,
-    candidate: Route,
-    now: int,
-    net: Network,
-    requests: Mapping[int, Request],
-) -> tuple[bool, str | None]:
-    """Check a candidate route against every service constraint.
+def unrealizable_stop(
+    vehicle: Vehicle, route: Route, now: int, net: Network
+) -> str | None:
+    """Name the first stop the vehicle cannot reach exactly as planned.
 
-    Returns (True, None) when the route can be driven as planned, else
-    (False, reason) naming the first violated constraint. Structural
-    defects raise RouteStructureError instead of counting as
-    infeasible.
+    A route is realizable when every planned arrival equals the
+    shortest-path drive from `plan_start(vehicle, now)`, stop after
+    stop, with no dwell: the times `schedule_stops` gives from that
+    start. Returns None for a realizable route.
     """
-    candidate.validate_structure(vehicle.onboard)
     node, time = plan_start(vehicle, now)
-    load = len(vehicle.onboard)
-    pickup_seen: dict[int, int] = {}
-    for stop in candidate.stops:
+    for stop in route.stops:
         time += net.travel_time(node, stop.location)
         node = stop.location
         if stop.planned_arrival != time:
-            return False, (
+            return (
                 f"stop at node {stop.location}: planned arrival "
                 f"{stop.planned_arrival} is not realizable (drives to {time})"
             )
-        load -= len(stop.dropoffs)
-        for rid in sorted(stop.dropoffs):
-            request = requests[rid]
-            boarded = pickup_seen.get(rid, request.pickup_time)
-            if boarded is None:
-                raise RouteStructureError(f"request {rid}: no pickup time on record")
-            if time - boarded > request.max_ride:
-                return False, (
-                    f"request {rid}: ride {time - boarded} exceeds max_ride "
-                    f"{request.max_ride}"
-                )
-        load += len(stop.pickups)
-        for rid in sorted(stop.pickups):
-            request = requests[rid]
-            if time > request.latest_pickup:
-                return False, (
-                    f"request {rid}: pickup at {time} misses latest_pickup "
-                    f"{request.latest_pickup}"
-                )
-            pickup_seen[rid] = time
-        if load > vehicle.capacity:
-            return False, (
-                f"stop at node {stop.location}: load {load} exceeds capacity "
-                f"{vehicle.capacity}"
-            )
-    return True, None
+    return None
 
 
 def route_cost(
     candidate: Route,
     vehicle: Vehicle,
     now: int,
-    net: Network,
     weights: CostWeights,
     requests: Mapping[int, Request],
 ) -> int:
@@ -444,17 +404,18 @@ def route_cost(
     picked up in the route, and rides of requests dropped off in it.
     Rides of passengers already on board count from their realized
     pickup, so rescheduling a dropoff is priced by the full delay.
+
+    Every time is read from the stops' planned arrivals, so the route
+    must be realizable from `plan_start(vehicle, now)` (see
+    `unrealizable_stop`), as a route `schedule_stops` built from that
+    start is.
     """
-    node, time = plan_start(vehicle, now)
-    drive = 0
+    start = time = plan_start(vehicle, now)[1]
     wait = 0
     ride = 0
     pickup_at: dict[int, int] = {}
     for stop in candidate.stops:
-        leg = net.travel_time(node, stop.location)
-        drive += leg
-        time += leg
-        node = stop.location
+        time = stop.planned_arrival
         for rid in stop.pickups:
             pickup_at[rid] = time
             wait += time - requests[rid].request_time
@@ -465,7 +426,7 @@ def route_cost(
             if boarded is None:
                 raise RouteStructureError(f"request {rid}: no pickup time on record")
             ride += time - boarded
-    return weights.drive * drive + weights.wait * wait + weights.ride * ride
+    return weights.drive * (time - start) + weights.wait * wait + weights.ride * ride
 
 
 # -- state validation ----------------------------------------------------------
@@ -481,7 +442,9 @@ def validate_state(state: SystemState, net: Network | None = None) -> list[str]:
     check. An unrevealed or settled request outside that scope was
     checked when it last changed status, and no step touches it
     afterwards; `SystemState.recheck_all()` brings every request back
-    into scope for a full check.
+    into scope for a full check. Given the network, it also checks that
+    every vehicle's route is realizable from its plan start now
+    (`unrealizable_stop`).
     """
     problems: list[str] = []
     waiting_refs: dict[int, list[int]] = {}
@@ -573,21 +536,8 @@ def validate_state(state: SystemState, net: Network | None = None) -> list[str]:
         for vehicle in state.sorted_vehicles():
             if vehicle.route is None:
                 continue
-            ok, reason = _schedule_consistent(vehicle, net, state)
-            if not ok:
+            reason = unrealizable_stop(vehicle, vehicle.route, state.now, net)
+            if reason is not None:
                 problems.append(f"vehicle {vehicle.id}: {reason}")
     return problems
 
-
-def _schedule_consistent(vehicle: Vehicle, net: Network, state: SystemState):
-    node, time = vehicle.position, vehicle.free_at
-    for stop in vehicle.remaining_stops():
-        time += net.travel_time(node, stop.location)
-        node = stop.location
-        if stop.planned_arrival < time:
-            return False, (
-                f"stop at {stop.location} planned for {stop.planned_arrival} "
-                f"but reachable only at {time}"
-            )
-        time = stop.planned_arrival
-    return True, None

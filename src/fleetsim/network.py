@@ -1,4 +1,4 @@
-"""Street network with integer travel times and reachability queries.
+"""Street network with integer travel times and shortest-path queries.
 
 The network is a directed graph with strictly positive integer edge
 times. It is immutable after construction: all query methods are pure
@@ -210,22 +210,6 @@ class Network:
             cur = nxt
         return PathResult(total, tuple(self._nodes[i] for i in seq))
 
-    def backward_reachable(self, target: int, budget: int) -> dict[int, int]:
-        """All nodes that can reach `target` within `budget` time units.
-
-        Returns a mapping node -> travel time to target. The target maps
-        to zero. A negative budget yields an empty mapping.
-        """
-        b = self._require(target)
-        if budget < 0:
-            return {}
-        dist = self._dist_to(b)
-        return {
-            self._nodes[i]: d
-            for i, d in enumerate(dist)
-            if d is not _INF and d <= budget
-        }
-
     def diameter(self) -> int:
         """Largest pairwise travel time in the network."""
         best = 0
@@ -235,15 +219,6 @@ class Network:
                 if d is not _INF and d > best:
                     best = d
         return best
-
-    def edge_time(self, origin: int, destination: int) -> int:
-        """Travel time of the direct edge origin -> destination."""
-        a = self._require(origin)
-        b = self._require(destination)
-        for j, t in self._adj[a]:
-            if j == b:
-                return t
-        raise UnknownNodeError(f"no edge {origin} -> {destination}")
 
     # -- internals ------------------------------------------------------------
 

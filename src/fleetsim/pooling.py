@@ -33,8 +33,6 @@ from .model import (
 )
 from .network import Network
 
-_ORACLE_EDGE_LIMIT = 20
-
 
 def divertable_vehicles(
     state: SystemState, net: Network, now: int
@@ -207,12 +205,6 @@ def build_rtv_graph(
     return assemble_graph(state, net, now, weights, vehicles_for, plans)
 
 
-def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
-    return tuple(
-        sorted((tuple(sorted(graph.members(bid))), vid) for vid, bid in chosen.items())
-    )
-
-
 def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     """Pick at most one bundle per vehicle, covering each request once.
 
@@ -358,48 +350,3 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     walk(0, frozenset(), frozenset(), {}, 0, 0, 0)
     return _solution_from(graph, incumbent[1])
 
-
-def exhaustive_pooling_oracle(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
-    """Reference solver: plain enumeration of every vehicle-bundle choice.
-
-    Guarded to tiny instances so tests cannot accidentally explode.
-    Applies the identical value ordering as solve_pooling, including
-    the canonical tie key, with no bounding or pruning anywhere.
-    """
-    if len(graph.edges) > _ORACLE_EDGE_LIMIT:
-        raise ValueError(
-            f"oracle limited to {_ORACLE_EDGE_LIMIT} edges, got {len(graph.edges)}"
-        )
-    options = _vehicle_options(graph, frozen)
-    order = graph.vehicle_ids
-    results: list[tuple] = []
-
-    def walk(i: int, used: set[int], chosen: dict[int, int], p: int, n: int, c: int):
-        if i == len(order):
-            results.append(((-p, -n, c, _leaf_key(graph, chosen)), dict(chosen)))
-            return
-        vid = order[i]
-        for bid in options[vid]:
-            if bid is None:
-                walk(i + 1, used, chosen, p, n, c)
-                continue
-            members = graph.members(bid)
-            if used & members:
-                continue
-            prev_gain = sum(
-                1 for rid in members if graph.prev_assigned.get(rid) is not None
-            )
-            chosen[vid] = bid
-            walk(
-                i + 1,
-                used | members,
-                chosen,
-                p + prev_gain,
-                n + len(members),
-                c + graph.edge(bid, vid).cost,
-            )
-            del chosen[vid]
-
-    walk(0, set(), {}, 0, 0, 0)
-    best = min(results, key=lambda item: item[0])
-    return _solution_from(graph, best[1])

@@ -1,0 +1,183 @@
+"""Reference checks and exhaustive solvers that only the tests use.
+
+`route_feasible` checks a route against every service constraint,
+independently of the route search. `priority_matching_oracle` and
+`exhaustive_pooling_oracle` solve small batch instances by plain
+enumeration under the same objective and tie rules as the library's
+solvers, so the tests can compare the two answers.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from fleetsim.matching import AssignmentSolution, RTVGraph, _solution_from, _vehicle_options
+from fleetsim.model import Request, Route, RouteStructureError, Vehicle, unrealizable_stop
+from fleetsim.network import Network
+
+_ORACLE_EDGE_LIMIT = 20
+
+
+def route_feasible(
+    vehicle: Vehicle,
+    candidate: Route,
+    now: int,
+    net: Network,
+    requests: Mapping[int, Request],
+) -> tuple[bool, str | None]:
+    """Check a candidate route against every service constraint.
+
+    Returns (True, None) when the route can be driven as planned, else
+    (False, reason). An unrealizable planned arrival is reported first
+    (see `unrealizable_stop`); otherwise the reason names the first
+    violated deadline, ride limit or capacity along the route.
+    Structural defects raise RouteStructureError instead of counting
+    as infeasible.
+    """
+    candidate.validate_structure(vehicle.onboard)
+    reason = unrealizable_stop(vehicle, candidate, now, net)
+    if reason is not None:
+        return False, reason
+    load = len(vehicle.onboard)
+    pickup_seen: dict[int, int] = {}
+    for stop in candidate.stops:
+        time = stop.planned_arrival
+        load -= len(stop.dropoffs)
+        for rid in sorted(stop.dropoffs):
+            request = requests[rid]
+            boarded = pickup_seen.get(rid, request.pickup_time)
+            if boarded is None:
+                raise RouteStructureError(f"request {rid}: no pickup time on record")
+            if time - boarded > request.max_ride:
+                return False, (
+                    f"request {rid}: ride {time - boarded} exceeds max_ride "
+                    f"{request.max_ride}"
+                )
+        load += len(stop.pickups)
+        for rid in sorted(stop.pickups):
+            request = requests[rid]
+            if time > request.latest_pickup:
+                return False, (
+                    f"request {rid}: pickup at {time} misses latest_pickup "
+                    f"{request.latest_pickup}"
+                )
+            pickup_seen[rid] = time
+        if load > vehicle.capacity:
+            return False, (
+                f"stop at node {stop.location}: load {load} exceeds capacity "
+                f"{vehicle.capacity}"
+            )
+    return True, None
+
+
+def priority_matching_oracle(
+    request_ids: list[int],
+    vehicle_ids: list[int],
+    costs: dict[tuple[int, int], int],
+    prev_assigned: dict[int, int | None],
+) -> tuple[int, int, int, dict[int, int]]:
+    """Exhaustive reference matcher for small instances (<= 8 vehicles).
+
+    Enumerates assignments by dynamic programming over vehicle subsets,
+    ranking each complete matching by (kept previous, assigned count,
+    cost) and then by the same canonical preference as the solver:
+    include low request ids first, give each the lowest-id vehicle.
+    Returns (kept, assigned, cost, pairs).
+    """
+    if len(vehicle_ids) > 8:
+        raise ValueError("oracle is exhaustive; limit instances to 8 vehicles")
+    request_ids = sorted(request_ids)
+    vehicle_ids = sorted(vehicle_ids)
+    big_v = len(vehicle_ids)
+    memo: dict[tuple[int, int], tuple] = {}
+
+    def best(i: int, mask: int) -> tuple:
+        """Suffix value (-kept, -assigned, cost, skip flags, vehicle picks).
+
+        The two key segments are compared whole, flags before picks, so
+        which requests are served outranks which vehicle serves them.
+        """
+        if i == len(request_ids):
+            return (0, 0, 0, (), ())
+        key = (i, mask)
+        if key in memo:
+            return memo[key]
+        rid = request_ids[i]
+        skip = best(i + 1, mask)
+        value = (skip[0], skip[1], skip[2], (1,) + skip[3], (big_v,) + skip[4])
+        weight_prev = 1 if prev_assigned.get(rid) is not None else 0
+        for j, vid in enumerate(vehicle_ids):
+            if mask & (1 << j) or (rid, vid) not in costs:
+                continue
+            rest = best(i + 1, mask | (1 << j))
+            cand = (
+                rest[0] - weight_prev,
+                rest[1] - 1,
+                rest[2] + costs[(rid, vid)],
+                (0,) + rest[3],
+                (j,) + rest[4],
+            )
+            if cand < value:
+                value = cand
+        memo[key] = value
+        return value
+
+    value = best(0, 0)
+    pairs: dict[int, int] = {}
+    for i, rid in enumerate(request_ids):
+        if value[3][i] == 0:
+            pairs[rid] = vehicle_ids[value[4][i]]
+    return (-value[0], -value[1], value[2], pairs)
+
+
+
+def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
+    return tuple(
+        sorted((tuple(sorted(graph.members(bid))), vid) for vid, bid in chosen.items())
+    )
+
+
+def exhaustive_pooling_oracle(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
+    """Reference solver: plain enumeration of every vehicle-bundle choice.
+
+    Guarded to tiny instances so tests cannot accidentally explode.
+    Applies the identical value ordering as solve_pooling, including
+    the canonical tie key, with no bounding or pruning anywhere.
+    """
+    if len(graph.edges) > _ORACLE_EDGE_LIMIT:
+        raise ValueError(
+            f"oracle limited to {_ORACLE_EDGE_LIMIT} edges, got {len(graph.edges)}"
+        )
+    options = _vehicle_options(graph, frozen)
+    order = graph.vehicle_ids
+    results: list[tuple] = []
+
+    def walk(i: int, used: set[int], chosen: dict[int, int], p: int, n: int, c: int):
+        if i == len(order):
+            results.append(((-p, -n, c, _leaf_key(graph, chosen)), dict(chosen)))
+            return
+        vid = order[i]
+        for bid in options[vid]:
+            if bid is None:
+                walk(i + 1, used, chosen, p, n, c)
+                continue
+            members = graph.members(bid)
+            if used & members:
+                continue
+            prev_gain = sum(
+                1 for rid in members if graph.prev_assigned.get(rid) is not None
+            )
+            chosen[vid] = bid
+            walk(
+                i + 1,
+                used | members,
+                chosen,
+                p + prev_gain,
+                n + len(members),
+                c + graph.edge(bid, vid).cost,
+            )
+            del chosen[vid]
+
+    walk(0, set(), {}, 0, 0, 0)
+    best = min(results, key=lambda item: item[0])
+    return _solution_from(graph, best[1])

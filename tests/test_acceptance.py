@@ -15,7 +15,6 @@ import pytest
 from fleetsim.engine import EngineConfig, Mode
 from fleetsim.matching import (
     feasible_vehicles,
-    priority_matching_oracle,
     solve_hailing,
 )
 from fleetsim.model import Route, Stop
@@ -26,7 +25,6 @@ from fleetsim.pooling import (
     VBEdge,
     best_route,
     divertable_vehicles,
-    exhaustive_pooling_oracle,
     solve_pooling,
 )
 from fleetsim.scenario import (
@@ -36,6 +34,7 @@ from fleetsim.scenario import (
     run_scenario,
     twin_run,
 )
+from oracles import exhaustive_pooling_oracle, priority_matching_oracle
 
 HAILING_SEEDS = range(1000, 1100)
 POOLING_SEEDS = range(2000, 2100)

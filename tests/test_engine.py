@@ -401,7 +401,7 @@ def test_kept_routes_keep_the_plan_a_fresh_install_would_build(monkeypatch, mode
                 free_at=vehicle.free_at, onboard=set(vehicle.onboard),
             )
             install_route(fresh, vehicle.route, state.now, net)
-            assert fresh.plan == vehicle.plan[vehicle.plan_cursor:]
+            assert fresh.plan == vehicle.plan
             kept.append(vid)
         return events
 

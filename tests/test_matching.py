@@ -15,7 +15,6 @@ from fleetsim.matching import (
     build_rv_graph,
     candidate_route,
     feasible_vehicles,
-    priority_matching_oracle,
     retained_route,
     solve_hailing,
     vehicle_release,
@@ -27,10 +26,10 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
-    route_feasible,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import solve_pooling
+from oracles import priority_matching_oracle, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 

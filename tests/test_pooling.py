@@ -17,7 +17,6 @@ from fleetsim.model import (
     SystemState,
     Vehicle,
     route_cost,
-    route_feasible,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import (
@@ -27,9 +26,9 @@ from fleetsim.pooling import (
     best_route,
     build_rtv_graph,
     divertable_vehicles,
-    exhaustive_pooling_oracle,
     solve_pooling,
 )
+from oracles import exhaustive_pooling_oracle, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 _W = CostWeights(1, 1, 1)
@@ -158,7 +157,7 @@ def brute_force_route(vehicle, members, now, net, requests, weights):
         feasible, _ = route_feasible(vehicle, route, now, net, requests)
         if not feasible:
             continue
-        cost = route_cost(route, vehicle, now, net, weights, requests)
+        cost = route_cost(route, vehicle, now, weights, requests)
         key = (cost, perm)
         if best is None or key < best[0]:
             best = (key, route)
