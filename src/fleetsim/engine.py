@@ -137,9 +137,15 @@ class BatchContext:
 
 
 def reveal_requests(state: SystemState, t: int, batch_interval: int) -> list[int]:
-    """Open every request whose arrival falls in (t - interval, t]."""
+    """Open every request whose arrival falls in (t - interval, t].
+
+    Reads the state's reveal queue, so `t` must not decrease from call to
+    call on one state, as the engine's clock does not: an unrevealed
+    request that arrived at or before t - interval is dropped from the
+    queue, and no later window would hold it.
+    """
     revealed = []
-    for rid in state.status_ids(RequestStatus.UNREVEALED):
+    for rid in state.pop_unrevealed(t):
         request = state.requests[rid]
         if t - batch_interval < request.request_time <= t:
             request.reveal()

@@ -5,18 +5,24 @@ requests a single vehicle could serve together, each linked to the
 vehicles that can, with the cheapest plan found and its cost increase
 over what the vehicle is already committed to drive. Single-rider
 hailing is the case where every bundle holds one request and every
-plan carries one rider; it is solved here as a min-cost matching whose
-weights encode the operator's priorities: drop as few previously
-promised requests as possible, serve as many requests as possible,
-then minimize the cost increase over the committed plans. Ties are
-broken canonically (lowest request id, then lowest vehicle id), so the
-same instance always yields the same assignment.
+plan carries one rider. Its edges are priced by arithmetic from where,
+when and at what cost each vehicle's kept plan ends, and an edge's
+plan is scheduled only when someone reads it, in practice only for the
+chosen edges. The batch is solved as a min-cost matching whose weights
+encode the operator's priorities: drop as few previously promised
+requests as possible, serve as many requests as possible, then
+minimize the cost increase over the committed plans. The priorities
+and the canonical tie rule (lowest request id, then lowest vehicle id)
+are packed into one integer per edge, so the same instance always
+yields the same assignment.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .model import Request, RequestStatus, Route, SystemState, CostWeights, route_cost, schedule_stops, plan_start
 from .network import Network
@@ -34,14 +40,33 @@ class Bundle:
     members: frozenset[int]
 
 
-@dataclass(frozen=True)
 class VBEdge:
-    """A vehicle that can serve a bundle, with the cheapest plan found."""
+    """A vehicle that can serve a bundle, with the cheapest plan found.
 
-    bundle_id: int
-    vehicle_id: int
-    cost: int
-    route: Route
+    `route` is given as the plan itself or as a function of no
+    arguments that builds it; the function runs on the first read of
+    `route`, so a graph schedules only the plans that are read.
+    """
+
+    __slots__ = ("bundle_id", "vehicle_id", "cost", "_route")
+
+    def __init__(
+        self,
+        bundle_id: int,
+        vehicle_id: int,
+        cost: int,
+        route: Route | Callable[[], Route],
+    ) -> None:
+        self.bundle_id = bundle_id
+        self.vehicle_id = vehicle_id
+        self.cost = cost
+        self._route = route
+
+    @property
+    def route(self) -> Route:
+        if not isinstance(self._route, Route):
+            self._route = self._route()
+        return self._route
 
 
 @dataclass
@@ -109,24 +134,51 @@ def _committed_dropoffs(vehicle) -> list[tuple[int, tuple, tuple[int, ...]]]:
     return visits
 
 
+def _serving(request: Request) -> list[tuple[int, tuple, tuple]]:
+    return [(request.origin, (request.id,), ()), (request.destination, (), (request.id,))]
+
+
+def _plan(net: Network, start: tuple[int, int], visits) -> Route:
+    node, time = start
+    return Route(schedule_stops(net, node, time, visits))
+
+
 def candidate_route(
     vehicle, request: Request, now: int, net: Network
 ) -> Route:
     """Replacement plan: finish committed dropoffs, then serve the request."""
-    visits = _committed_dropoffs(vehicle)
-    visits.append((request.origin, (request.id,), ()))
-    visits.append((request.destination, (), (request.id,)))
-    node, time = plan_start(vehicle, now)
-    return Route(schedule_stops(net, node, time, visits))
+    return _plan(net, plan_start(vehicle, now), _committed_dropoffs(vehicle) + _serving(request))
 
 
 def retained_route(vehicle, now: int, net: Network) -> Route | None:
     """The plan a vehicle keeps when its pending pickup is withdrawn."""
     visits = _committed_dropoffs(vehicle)
-    if not visits:
-        return None
-    node, time = plan_start(vehicle, now)
-    return Route(schedule_stops(net, node, time, visits))
+    return _plan(net, plan_start(vehicle, now), visits) if visits else None
+
+
+def kept_plans(
+    state: SystemState, net: Network, now: int, weights: CostWeights
+) -> dict[int, tuple[tuple[int, int], list, int, int, int]]:
+    """Every vehicle's retained plan, worked out once for the batch.
+
+    Maps each vehicle id to (start, visits, end node, end time, cost):
+    `start` and `visits` are what `retained_route` schedules, its plan
+    start and committed dropoffs; the plan ends at the end node at the
+    end time (the plan start when nothing is committed) and costs
+    `route_cost` of the retained route (0 without one).
+    """
+    out = {}
+    for vehicle in state.sorted_vehicles():
+        start = plan_start(vehicle, now)
+        visits = _committed_dropoffs(vehicle)
+        if visits:
+            kept = _plan(net, start, visits)
+            last = kept.stops[-1]
+            cost = route_cost(kept, vehicle, now, weights, state.requests)
+            out[vehicle.id] = (start, visits, last.location, last.planned_arrival, cost)
+        else:
+            out[vehicle.id] = (start, visits, start[0], start[1], 0)
+    return out
 
 
 def reachable_vehicles(
@@ -139,15 +191,17 @@ def reachable_vehicles(
     start rule the set can only shrink while a request stays open.
     Keys are every open request, in id order.
     """
-    starts = {v.id: start(v, now) for v in state.sorted_vehicles()}
-    out: dict[int, list[int]] = {}
-    for request in state.active_requests():
-        fits = []
-        for vid in sorted(starts):
-            node, time = starts[vid]
-            if time + net.travel_time(node, request.origin) <= request.latest_pickup:
-                fits.append(vid)
-        out[request.id] = fits
+    requests = state.active_requests()
+    out: dict[int, list[int]] = {request.id: [] for request in requests}
+    if not requests:
+        return out  # no row to read, and off the table a row costs a Dijkstra
+    origins = [request.origin for request in requests]
+    deadlines = [(out[request.id], request.latest_pickup) for request in requests]
+    for vehicle in state.sorted_vehicles():
+        node, time = start(vehicle, now)
+        for (fits, deadline), leg in zip(deadlines, net.travel_times(node, origins)):
+            if time + leg <= deadline:
+                fits.append(vehicle.id)
     return out
 
 
@@ -165,29 +219,22 @@ def feasible_vehicles(
 
 def assemble_graph(
     state: SystemState,
-    net: Network,
-    now: int,
-    weights: CostWeights,
     vehicles_for: dict[int, list[int]],
-    plans: dict[frozenset[int], dict[int, tuple[Route, int]]],
+    plans: dict[frozenset[int], dict[int, tuple[Route | Callable[[], Route], int]]],
+    kept: dict[int, tuple],
 ) -> RTVGraph:
     """Index the batch's workable bundles into a graph.
 
     `plans` maps each bundle's members to {vehicle id: (plan, plan
-    cost)}. Edge cost is the plan's cost minus the cost of what the
-    vehicle is already committed to drive, so summing chosen edge costs
-    gives the assignment's true cost increase. Bundle ids follow
-    (size, sorted members).
+    cost)}, the plan as a `VBEdge` takes it. Edge cost is the plan's
+    cost minus the cost of the vehicle's kept plan (last in its entry of
+    `kept`, from `kept_plans`), so summing chosen edge costs gives the
+    assignment's true cost increase. Bundle ids follow (size, sorted
+    members).
     """
     request_ids = list(vehicles_for)
     vehicle_ids = sorted(state.vehicles)
-    baseline: dict[int, int] = {}
-    for vid in vehicle_ids:
-        vehicle = state.vehicles[vid]
-        kept = retained_route(vehicle, now, net)
-        baseline[vid] = (
-            0 if kept is None else route_cost(kept, vehicle, now, weights, state.requests)
-        )
+    baseline = {vid: kept[vid][-1] for vid in vehicle_ids}
     ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
     bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
     edges: dict[tuple[int, int], VBEdge] = {}
@@ -227,24 +274,39 @@ def build_rv_graph(
 ) -> RTVGraph:
     """Build the batch's single-rider graph: one singleton bundle per request.
 
-    Each reachable vehicle's plan finishes its committed dropoffs and
-    then serves the request.
+    Each reachable vehicle's plan is its `candidate_route`: finish the
+    committed dropoffs, then serve the request. It is priced from where
+    and when the kept plan ends, as drive·(pickup + trip − end) +
+    wait·(pickup − request time) + ride·trip over the kept plan's cost,
+    with pickup = end + travel time to the origin: the kept plan's stops
+    keep their times, so this is `route_cost` of the candidate minus
+    that of the kept plan. The candidate's stops are scheduled when the
+    edge's `route` is first read, from the batch's snapshot of the
+    vehicle.
     """
     vehicles_for = feasible_vehicles(state, net, now)
-    plans: dict[frozenset[int], dict[int, tuple[Route, int]]] = {}
+    kept = kept_plans(state, net, now, weights)
+    plans: dict[frozenset[int], dict[int, tuple[Callable[[], Route], int]]] = {}
     for rid, vids in vehicles_for.items():
         request = state.requests[rid]
-        if net.travel_time(request.origin, request.destination) > request.max_ride:
+        trip = net.travel_time(request.origin, request.destination)
+        if trip > request.max_ride:
             vehicles_for[rid] = []
             continue
+        serve = _serving(request)
         fits = {}
         for vid in vids:
-            vehicle = state.vehicles[vid]
-            plan = candidate_route(vehicle, request, now, net)
-            fits[vid] = (plan, route_cost(plan, vehicle, now, weights, state.requests))
+            start, visits, end_node, end_time, cost = kept[vid]
+            pickup = end_time + net.travel_time(end_node, request.origin)
+            added = (
+                weights.drive * (pickup + trip - end_time)
+                + weights.wait * (pickup - request.request_time)
+                + weights.ride * trip
+            )
+            fits[vid] = (partial(_plan, net, start, visits + serve), cost + added)
         if fits:
             plans[frozenset({rid})] = fits
-    return assemble_graph(state, net, now, weights, vehicles_for, plans)
+    return assemble_graph(state, vehicles_for, plans, kept)
 
 
 def _vehicle_options(graph: RTVGraph, frozen: bool):
@@ -313,57 +375,45 @@ def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolutio
 
 # -- exact solver ---------------------------------------------------------------
 
-_ZERO3 = (0, 0, 0)
 
+def _min_cost_matching(weights: dict[tuple[int, int], int]) -> dict[int, int]:
+    """Free-cardinality min-cost matching over integer (request, vehicle) weights.
 
-def _t_add(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def _t_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _min_cost_matching(
-    request_ids: list[int],
-    vehicle_ids: list[int],
-    weights: dict[tuple[int, int], tuple[int, int, int]],
-) -> dict[int, int]:
-    """Free-cardinality min-cost matching over 3-component weights.
-
-    Weights add componentwise and compare lexicographically. Successive
-    shortest augmenting paths with node potentials; the first Dijkstra
-    round is a plain relaxation over single edges, which also absorbs
-    the negative raw weights, and every later round runs on reduced
-    weights that stay non-negative.
+    Successive shortest augmenting paths with node potentials; the first
+    Dijkstra round is a plain relaxation over single edges, which also
+    absorbs the negative raw weights, and every later round runs on
+    reduced weights that stay non-negative. Only requests and vehicles
+    with an edge take part. Returns {request: vehicle}.
     """
-    out: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
+    out: dict[int, list[tuple[int, int]]] = {}
     for (rid, vid), w in sorted(weights.items()):
         out.setdefault(rid, []).append((vid, w))
-    sources = [rid for rid in request_ids if rid in out]
-    pi_r = {rid: _ZERO3 for rid in sources}
-    pi_v = {vid: _ZERO3 for vid in vehicle_ids}
+    sources = list(out)
+    vehicle_ids = sorted({vid for _, vid in weights})
+    pi_r = dict.fromkeys(sources, 0)
+    pi_v = dict.fromkeys(vehicle_ids, 0)
     match_rv: dict[int, int] = {}
     match_vr: dict[int, int] = {}
 
     while True:
-        dist_r: dict[int, tuple] = {}
-        dist_v: dict[int, tuple] = {}
+        dist_r: dict[int, int] = {}
+        dist_v: dict[int, int] = {}
         parent_v: dict[int, int] = {}
         heap: list = []
         for rid in sources:
             if rid not in match_rv:
-                dist_r[rid] = _ZERO3
-                heapq.heappush(heap, (_ZERO3, 0, rid))
+                dist_r[rid] = 0
+                heapq.heappush(heap, (0, 0, rid))
         while heap:
             d, kind, node = heapq.heappop(heap)
             if kind == 0:
                 if dist_r.get(node) != d:
                     continue
+                base = d + pi_r[node]
                 for vid, w in out[node]:
                     if match_rv.get(node) == vid:
                         continue
-                    nd = _t_add(d, _t_add(w, _t_sub(pi_r[node], pi_v[vid])))
+                    nd = base + w - pi_v[vid]
                     if vid not in dist_v or nd < dist_v[vid]:
                         dist_v[vid] = nd
                         parent_v[vid] = node
@@ -374,8 +424,7 @@ def _min_cost_matching(
                 rid = match_vr.get(node)
                 if rid is None:
                     continue
-                w = weights[(rid, node)]
-                nd = _t_add(d, _t_sub(_t_sub(pi_v[node], w), pi_r[rid]))
+                nd = d + pi_v[node] - weights[(rid, node)] - pi_r[rid]
                 if rid not in dist_r or nd < dist_r[rid]:
                     dist_r[rid] = nd
                     heapq.heappush(heap, (nd, 0, rid))
@@ -384,7 +433,7 @@ def _min_cost_matching(
         for vid in vehicle_ids:
             if vid in match_vr or vid not in dist_v:
                 continue
-            true_cost = _t_add(dist_v[vid], pi_v[vid])
+            true_cost = dist_v[vid] + pi_v[vid]
             if best is None or (true_cost, vid) < best:
                 best = (true_cost, vid)
         if best is None:
@@ -392,15 +441,9 @@ def _min_cost_matching(
         target = best[1]
         bound = dist_v[target]
         for rid in pi_r:
-            if rid in dist_r:
-                pi_r[rid] = _t_add(pi_r[rid], min(dist_r[rid], bound))
-            else:
-                pi_r[rid] = _t_add(pi_r[rid], bound)
+            pi_r[rid] += min(dist_r[rid], bound) if rid in dist_r else bound
         for vid in pi_v:
-            if vid in dist_v:
-                pi_v[vid] = _t_add(pi_v[vid], min(dist_v[vid], bound))
-            else:
-                pi_v[vid] = _t_add(pi_v[vid], bound)
+            pi_v[vid] += min(dist_v[vid], bound) if vid in dist_v else bound
         vid = target
         while True:
             rid = parent_v[vid]
@@ -422,19 +465,30 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     lower request ids and pairing each with the lowest workable vehicle
     id, so equal instances resolve equally.
 
+    Each edge's weight is one integer, w·2^(R+E) − 2^(E+R−1−rank of its
+    request) − 2^(E−1−rank of the edge), for R request ids, E edges
+    ranked by (request, vehicle), and w the cost less a spread that
+    outweighs any cost difference (less a drop penalty on a previously
+    assigned request that outweighs any count). A matching's total is
+    (Σw)·2^(R+E) − B·2^E − C, where B < 2^R sums the bits of its
+    distinct requests and C < 2^E those of its distinct edges, so totals
+    compare as the triples (Σw, −B, −C) do lexicographically, and
+    distinct matchings never tie. Python integers are unbounded, so the
+    weights stay exact however many edges a batch has.
+
     With frozen=True every previously assigned pair is locked in and
     only the remaining requests and vehicles are optimized.
     """
     options = _vehicle_options(graph, frozen)
     # a committed vehicle's one option is its frozen request's bundle
     chosen = {vid: opts[0] for vid, opts in options.items() if None not in opts}
-    fixed = {rid for bid in chosen.values() for rid in graph.members(bid)}
-    free_requests = [rid for rid in graph.request_ids if rid not in fixed]
-    free_vehicles = [vid for vid in graph.vehicle_ids if vid not in chosen]
 
     costs: dict[tuple[int, int], int] = {}
     bundle_of: dict[int, int] = {}
-    for vid in free_vehicles:
+    for vid in graph.vehicle_ids:
+        if vid in chosen:
+            continue
+        # no free vehicle's bundle holds a committed request
         for bid in options[vid][:-1]:  # all but the trailing None
             (rid,) = graph.members(bid)
             costs[(rid, vid)] = graph.edge(bid, vid).cost
@@ -443,22 +497,17 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
         spread = 1 + sum(abs(c) for c in costs.values())
         drop_penalty = 1 + (len(graph.request_ids) + 2) * spread
         rank_r = {rid: i for i, rid in enumerate(graph.request_ids)}
-        bits_r = len(graph.request_ids)
-        ranked_edges = sorted(costs)
-        bits_e = len(ranked_edges)
-        rank_e = {pair: i for i, pair in enumerate(ranked_edges)}
+        bits_e = len(costs)
+        bits = len(graph.request_ids) + bits_e
         weights = {}
-        for pair, cost in costs.items():
+        for rank_e, pair in enumerate(sorted(costs)):
             rid = pair[0]
-            w = cost - spread
+            w = costs[pair] - spread
             if graph.prev_assigned.get(rid) is not None:
                 w -= drop_penalty
             weights[pair] = (
-                w,
-                -(1 << (bits_r - 1 - rank_r[rid])),
-                -(1 << (bits_e - 1 - rank_e[pair])),
+                (w << bits) - (1 << (bits - 1 - rank_r[rid])) - (1 << (bits_e - 1 - rank_e))
             )
-        matching = _min_cost_matching(free_requests, free_vehicles, weights)
+        matching = _min_cost_matching(weights)
         chosen.update((vid, bundle_of[rid]) for rid, vid in matching.items())
     return _solution_from(graph, chosen)
-

@@ -9,6 +9,7 @@ reproducible.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -45,14 +46,17 @@ class StatusIndex:
     """Request ids by status, for one SystemState.
 
     `changed` holds the ids added, or whose status was written, since
-    the state's last validate_state.
+    the state's last validate_state. `unrevealed` is a heap of
+    (request_time, id), pushed for every request added or written as
+    unrevealed; an entry outlives its request's reveal until popped.
     """
 
-    __slots__ = ("ids", "changed")
+    __slots__ = ("ids", "changed", "unrevealed")
 
     def __init__(self) -> None:
         self.ids: dict[RequestStatus, set[int]] = {status: set() for status in RequestStatus}
         self.changed: set[int] = set()
+        self.unrevealed: list[tuple[int, int]] = []
 
 
 class _IndexedStatus:
@@ -69,6 +73,8 @@ class _IndexedStatus:
             index.ids[request.__dict__["status"]].discard(request.id)
             index.ids[status].add(request.id)
             index.changed.add(request.id)
+            if status is RequestStatus.UNREVEALED:
+                heapq.heappush(index.unrevealed, (request.request_time, request.id))
         request.__dict__["status"] = status
 
 
@@ -296,6 +302,8 @@ class SystemState:
         request._index = self._index
         self._index.ids[request.status].add(request.id)
         self._index.changed.add(request.id)
+        if request.status is RequestStatus.UNREVEALED:
+            heapq.heappush(self._index.unrevealed, (request.request_time, request.id))
 
     def add_vehicle(self, vehicle: Vehicle) -> None:
         if vehicle.id in self.vehicles:
@@ -315,6 +323,21 @@ class SystemState:
 
     def status_ids(self, status: RequestStatus) -> list[int]:
         return sorted(self._index.ids[status])
+
+    def pop_unrevealed(self, t: int) -> list[int]:
+        """Take every request due by t off the reveal queue.
+
+        Returns, in id order, the ids of those still unrevealed. The
+        queue is ordered by request time, so this costs what it takes
+        off, not a pass over the requests still to come.
+        """
+        queue = self._index.unrevealed
+        due: set[int] = set()
+        while queue and queue[0][0] <= t:
+            rid = heapq.heappop(queue)[1]
+            if self.requests[rid].status is RequestStatus.UNREVEALED:
+                due.add(rid)
+        return sorted(due)
 
     def settled(self) -> bool:
         """Whether every request has been served or has left."""

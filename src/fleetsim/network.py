@@ -182,6 +182,23 @@ class Network:
             return 0
         return self._dist_from(a)[b]
 
+    def travel_times(self, origin: int, destinations) -> list[int]:
+        """Shortest travel times from one origin to each destination, in order.
+
+        Reads the origin's row once, from the all-pairs table or the
+        memoized Dijkstra, so it costs one lookup per destination.
+        """
+        index = self._index
+        try:
+            row = self._dist_from(index[origin])
+            return [row[index[node]] for node in destinations]
+        except KeyError:
+            # names the unknown node, as every other query does
+            self._require(origin)
+            for node in destinations:
+                self._require(node)
+            raise
+
     def shortest_path(self, origin: int, destination: int) -> PathResult:
         """Minimum-time path, breaking ties by smallest node sequence.
 

@@ -20,6 +20,7 @@ from .matching import (
     _solution_from,
     _vehicle_options,
     assemble_graph,
+    kept_plans,
     reachable_vehicles,
 )
 from .model import (
@@ -202,7 +203,7 @@ def build_rtv_graph(
                     grown.append(union)
         level = grown
 
-    return assemble_graph(state, net, now, weights, vehicles_for, plans)
+    return assemble_graph(state, vehicles_for, plans, kept_plans(state, net, now, weights))
 
 
 def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:

@@ -4,14 +4,17 @@
 independently of the route search. `priority_matching_oracle` and
 `exhaustive_pooling_oracle` solve small batch instances by plain
 enumeration under the same objective and tie rules as the library's
-solvers, so the tests can compare the two answers.
+solvers, so the tests can compare the two answers. The pooling oracle
+applies frozen commitments and builds its answer with its own code,
+`oracle_options` and `_oracle_solution`, so that a fault in the
+library's versions cannot pass unseen.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from fleetsim.matching import AssignmentSolution, RTVGraph, _solution_from, _vehicle_options
+from fleetsim.matching import AssignmentSolution, MatchingError, RTVGraph
 from fleetsim.model import Request, Route, RouteStructureError, Vehicle, unrealizable_stop
 from fleetsim.network import Network
 
@@ -137,18 +140,66 @@ def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
     )
 
 
+def oracle_options(graph: RTVGraph, frozen: bool) -> dict[int, set[int | None]]:
+    """Each vehicle's allowed choices: bundle ids, and None for no bundle.
+
+    Without freezing every edge is allowed and every vehicle may stay
+    out. Frozen, a vehicle must take a bundle holding every request
+    committed to it, if it has any, and no bundle may hold a request
+    committed to another vehicle. Raises MatchingError when a committed
+    vehicle has no allowed bundle.
+    """
+    commitments = {}
+    if frozen:
+        commitments = {rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None}
+    options: dict[int, set[int | None]] = {vid: set() for vid in graph.vehicle_ids}
+    for bid, vid in graph.edges:
+        members = graph.members(bid)
+        owed = {rid for rid, owner in commitments.items() if owner == vid}
+        foreign = any(commitments.get(rid, vid) != vid for rid in members)
+        if owed <= members and not foreign:
+            options[vid].add(bid)
+    for vid in graph.vehicle_ids:
+        if vid not in commitments.values():
+            options[vid].add(None)
+        elif not options[vid]:
+            raise MatchingError(f"vehicle {vid}: no bundle keeps its commitments")
+    return options
+
+
+def _oracle_solution(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolution:
+    pairs = {
+        rid: vid
+        for vid, bid in chosen.items()
+        for rid in graph.members(bid)
+    }
+    was = {rid for rid, vid in graph.prev_assigned.items() if vid is not None}
+    left = [rid for rid in sorted(graph.request_ids) if rid not in pairs]
+    return AssignmentSolution(
+        pairs=dict(sorted(pairs.items())),
+        routes={vid: graph.edges[(bid, vid)].route for vid, bid in sorted(chosen.items())},
+        kept_previous=len(was & set(pairs)),
+        assigned_count=len(pairs),
+        total_cost=sum(graph.edges[(bid, vid)].cost for vid, bid in chosen.items()),
+        unassigned=left,
+        dropped_previous=[rid for rid in left if rid in was],
+        chosen_bundles=dict(sorted(chosen.items())),
+    )
+
+
 def exhaustive_pooling_oracle(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     """Reference solver: plain enumeration of every vehicle-bundle choice.
 
     Guarded to tiny instances so tests cannot accidentally explode.
     Applies the identical value ordering as solve_pooling, including
-    the canonical tie key, with no bounding or pruning anywhere.
+    the canonical tie key, with no bounding or pruning anywhere. Raises
+    MatchingError when frozen commitments cannot all be kept.
     """
     if len(graph.edges) > _ORACLE_EDGE_LIMIT:
         raise ValueError(
             f"oracle limited to {_ORACLE_EDGE_LIMIT} edges, got {len(graph.edges)}"
         )
-    options = _vehicle_options(graph, frozen)
+    options = oracle_options(graph, frozen)
     order = graph.vehicle_ids
     results: list[tuple] = []
 
@@ -179,5 +230,7 @@ def exhaustive_pooling_oracle(graph: RTVGraph, frozen: bool = False) -> Assignme
             del chosen[vid]
 
     walk(0, set(), {}, 0, 0, 0)
+    if not results:
+        raise MatchingError("no joint choice keeps every frozen commitment")
     best = min(results, key=lambda item: item[0])
-    return _solution_from(graph, best[1])
+    return _oracle_solution(graph, best[1])

@@ -379,6 +379,42 @@ def test_status_index_matches_a_full_scan_after_every_step(mode, reassignment, b
 
 
 @pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+@pytest.mark.parametrize("batch_interval", [1, 2, 3])
+def test_reveal_queue_matches_a_brute_force_scan(mode, batch_interval):
+    late_revealed = never = 0
+    for seed in (1, 2):
+        cfg, net, state = _scenario_state(mode, Reassignment.ALLOWED, batch_interval, seed)
+        # requests that join mid-run: ahead of their window, inside it,
+        # or after it has passed
+        rng = random.Random(seed)
+        late = []
+        for k in range(20):
+            origin, destination = rng.sample(range(64), 2)
+            due = rng.randrange(0, 50)
+            joins = due + rng.randrange(-4, 2 * batch_interval + 2)
+            late.append((joins, fresh_request(10_000 + k, origin, destination, request_time=due)))
+        for _ in range(60):
+            t = state.now
+            for joins, request in late:
+                if t - batch_interval < joins <= t:
+                    state.add_request(request)
+            expected = [
+                rid for rid, request in sorted(state.requests.items())
+                if request.status is RequestStatus.UNREVEALED
+                and t - batch_interval < request.request_time <= t
+            ]
+            events, _ = step(state, cfg, net)
+            assert [e.request for e in events if e.kind is EventKind.REVEALED] == expected
+            late_revealed += sum(rid >= 10_000 for rid in expected)
+        never += sum(
+            1 for request in state.requests.values()
+            if request.status is RequestStatus.UNREVEALED and request.request_time < state.now
+        )
+    assert late_revealed >= 10
+    assert never >= 10
+
+
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
 def test_kept_routes_keep_the_plan_a_fresh_install_would_build(monkeypatch, mode):
     # apply_assignment re-plans only changed routes; a kept plan must be
     # exactly what install_route would build from the vehicle's state now

@@ -26,6 +26,8 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
+    route_cost,
+    schedule_stops,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import solve_pooling
@@ -149,6 +151,32 @@ def test_matcher_is_the_singleton_case_of_the_bundle_search(instance, frozen):
     """On singleton bundles the matcher and the bundle search reach the
     same (kept, assigned, cost) optimum."""
     graph = make_graph(*instance)
+    assert solve_hailing(graph, frozen=frozen).value == solve_pooling(graph, frozen=frozen).value
+
+
+@st.composite
+def wide_matching_instances(draw):
+    """Instances with more than 64 edges, so packed weights pass a word."""
+    request_ids = sorted(draw(st.sets(st.integers(0, 60), min_size=7, max_size=9)))
+    vehicle_ids = sorted(draw(st.sets(st.integers(0, 60), min_size=10, max_size=14)))
+    pairs = [(r, v) for r in request_ids for v in vehicle_ids]
+    chosen = draw(st.permutations(pairs))[: draw(st.integers(65, len(pairs)))]
+    costs = {pair: draw(st.integers(-15, 15)) for pair in sorted(chosen)}
+    prev = {}
+    taken = set()
+    for rid in request_ids:
+        options = [v for (r, v) in costs if r == rid and v not in taken]
+        if options and draw(st.booleans()):
+            prev[rid] = draw(st.sampled_from(sorted(options)))
+            taken.add(prev[rid])
+    return request_ids, vehicle_ids, costs, prev
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_matching_instances(), st.booleans())
+def test_matcher_matches_the_bundle_search_past_word_size(instance, frozen):
+    graph = make_graph(*instance)
+    assert len(graph.edges) > 64
     assert solve_hailing(graph, frozen=frozen).value == solve_pooling(graph, frozen=frozen).value
 
 
@@ -376,3 +404,99 @@ def test_feasible_vehicles_shrink_as_time_passes():
     after = feasible_vehicles(state, net, 2)
     for rid in after:
         assert set(after[rid]) <= set(before[rid])
+
+
+@st.composite
+def dispatch_states(draw):
+    """A batch state with riders on board, vehicles part way along an
+    edge, pending pickups, and open requests, some of them starting at
+    a vehicle's last committed dropoff."""
+    edge_time = draw(st.integers(1, 3))
+    net = Network.build_grid(4, 4, edge_time=edge_time)
+    nodes = st.integers(0, 15)
+    now = draw(st.integers(0, 6))
+    state = SystemState(now=now)
+    rid = 0
+
+    def request(origin, request_time, max_wait=30, max_ride=None):
+        nonlocal rid
+        rid += 1
+        destination = draw(nodes.filter(lambda n: n != origin))
+        direct = net.travel_time(origin, destination)
+        if max_ride is None:
+            max_ride = direct + draw(st.integers(-edge_time, 3 * edge_time))
+        made = Request(rid, origin, destination, request_time, max_wait, max(1, max_ride))
+        made.reveal()
+        return made
+
+    last_drops = []
+    for vid in range(draw(st.integers(1, 4))):
+        # free_at beyond now: the vehicle is part way along an edge
+        vehicle = Vehicle(
+            id=vid, capacity=3, position=draw(nodes),
+            free_at=max(0, now + draw(st.integers(-2, edge_time - 1))),
+        )
+        visits = []
+        for _ in range(draw(st.integers(0, 2))):
+            rider = request(draw(nodes), draw(st.integers(0, now)), max_ride=100)
+            rider.assign(vid)
+            rider.board(draw(st.integers(rider.request_time, now)))
+            vehicle.onboard.add(rider.id)
+            state.add_request(rider)
+            visits.append((rider.destination, (), (rider.id,)))
+        if visits:
+            last_drops.append(visits[-1][0])
+        if draw(st.booleans()):
+            pending = request(draw(nodes), draw(st.integers(0, now)))
+            pending.assign(vid)
+            state.add_request(pending)
+            visits += [(pending.origin, (pending.id,), ()), (pending.destination, (), (pending.id,))]
+        if visits:
+            start = max(vehicle.free_at, now)
+            vehicle.route = Route(schedule_stops(net, vehicle.position, start, visits))
+        state.add_vehicle(vehicle)
+    for _ in range(draw(st.integers(1, 5))):
+        if last_drops and draw(st.booleans()):
+            origin = draw(st.sampled_from(last_drops))  # a merged stop
+        else:
+            origin = draw(nodes)
+        state.add_request(
+            request(origin, draw(st.integers(max(0, now - 3), now)), draw(st.integers(1, 12)))
+        )
+    weights = CostWeights(*(draw(st.integers(0, 3)) for _ in range(3)))
+    return net, state, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(dispatch_states())
+def test_rv_edges_are_priced_as_their_candidate_routes(case):
+    net, state, weights = case
+    now = state.now
+    graph = build_rv_graph(state, net, now, weights)
+    for vid, vehicle in state.vehicles.items():
+        kept = retained_route(vehicle, now, net)
+        assert graph.baseline_cost[vid] == (
+            0 if kept is None else route_cost(kept, vehicle, now, weights, state.requests)
+        )
+    for (bid, vid), edge in graph.edges.items():
+        (rid,) = graph.members(bid)
+        vehicle = state.vehicles[vid]
+        assert edge.route == candidate_route(vehicle, state.requests[rid], now, net)
+        assert edge.cost == (
+            route_cost(edge.route, vehicle, now, weights, state.requests)
+            - graph.baseline_cost[vid]
+        )
+    for frozen in (False, True):
+        try:
+            solution = solve_hailing(graph, frozen=frozen)
+        except MatchingError:
+            assert frozen  # a pending pickup its vehicle can no longer reach
+            continue
+        for rid, vid in solution.pairs.items():
+            vehicle = state.vehicles[vid]
+            assert solution.routes[vid] == candidate_route(vehicle, state.requests[rid], now, net)
+        assert solution.total_cost == sum(
+            route_cost(route, state.vehicles[vid], now, weights, state.requests)
+            - graph.baseline_cost[vid]
+            for vid, route in solution.routes.items()
+        )

@@ -172,6 +172,10 @@ def test_travel_time_unknown_node():
     net = Network.build_grid(3, 3)
     with pytest.raises(UnknownNodeError):
         net.travel_time(0, 99)
+    with pytest.raises(UnknownNodeError, match="99"):
+        net.travel_times(0, [1, 99])
+    with pytest.raises(UnknownNodeError, match="99"):
+        net.travel_times(99, [1])
 
 
 def test_travel_time_matches_bfs_oracle_exhaustively():
@@ -192,6 +196,23 @@ def test_travel_time_matches_bellman_ford_on_random_networks():
         oracle = bellman_ford_times(edges, source)
         for target in net.nodes:
             assert net.travel_time(source, target) == oracle[target]
+        targets = [rng.choice(net.nodes) for _ in range(5)]
+        assert net.travel_times(source, targets) == [oracle[t] for t in targets]
+
+
+def test_travel_times_above_the_table_limit_read_lazy_rows():
+    # 40 x 26 = 1040 nodes is past the all-pairs table, so rows come
+    # from memoized single-source Dijkstra
+    edges = grid_edges(40, 26)
+    net = Network(edges)
+    rng = random.Random(26)
+    for source in rng.sample(net.nodes, 4):
+        oracle = bfs_times(edges, source)
+        targets = rng.sample(net.nodes, 50) + [source]
+        assert net.travel_times(source, targets) == [oracle[t] for t in targets]
+        assert [net.travel_time(source, t) for t in targets] == [oracle[t] for t in targets]
+    with pytest.raises(UnknownNodeError):
+        net.travel_times(0, [1, 5000])
 
 
 def test_grid_times_symmetric():

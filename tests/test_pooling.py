@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from fleetsim.matching import MatchingError
+from fleetsim.matching import MatchingError, _vehicle_options
 from fleetsim.model import (
     CostWeights,
     Request,
@@ -28,7 +28,7 @@ from fleetsim.pooling import (
     divertable_vehicles,
     solve_pooling,
 )
-from oracles import exhaustive_pooling_oracle, route_feasible
+from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 _W = CostWeights(1, 1, 1)
@@ -477,6 +477,45 @@ def test_solver_matches_exhaustive_enumeration():
             assert got_frozen.pairs == want_frozen.pairs
             assert got_frozen.chosen_bundles == want_frozen.chosen_bundles
     assert checked >= 80
+
+
+def test_oracle_frozen_filter_agrees_with_the_solvers_filter():
+    # the oracle applies frozen commitments with its own code; the solver
+    # must match it where commitments can be kept and fail where they
+    # cannot, and its filter must allow exactly the oracle's choices
+    rng = random.Random(9917)
+    agreed = raised = 0
+    for _ in range(400):
+        graph = _random_synth(rng)
+        if graph is None:
+            continue
+        # commitments drawn freely, so that some cannot be kept
+        graph.prev_assigned = {
+            rid: rng.choice(graph.vehicle_ids) if rng.random() < 0.4 else None
+            for rid in graph.request_ids
+        }
+        for frozen in (False, True):
+            try:
+                want = exhaustive_pooling_oracle(graph, frozen=frozen)
+            except MatchingError as exc:
+                if "joint" in str(exc):
+                    # each vehicle can keep its own commitments, but no
+                    # disjoint choice keeps them all; build_rtv_graph
+                    # never makes such a graph
+                    continue
+                with pytest.raises(MatchingError, match="lost feasibility"):
+                    solve_pooling(graph, frozen=frozen)
+                raised += 1
+                continue
+            got = solve_pooling(graph, frozen=frozen)
+            assert got.chosen_bundles == want.chosen_bundles
+            assert got.value == want.value
+            assert {
+                vid: set(opts) for vid, opts in _vehicle_options(graph, frozen).items()
+            } == oracle_options(graph, frozen)
+            agreed += frozen
+    assert agreed >= 150
+    assert raised >= 100
 
 
 def test_solver_finds_cheap_vehicles_listed_after_dear_ones():
