@@ -4,8 +4,11 @@ Each step runs one batch. New requests are collected, the assignment
 problem for the configured mode is solved from scratch on the current
 state, the solution is written back as routes and status changes, the
 fleet advances one interval, and finally users whose patience ran out
-leave the system. Everything downstream of the solver is mechanical,
-so the step is deterministic given the state.
+leave the system. The solution carries every vehicle's next route, so
+write-back installs routes and plans the moves along them but never
+decides what a vehicle keeps or schedules stops. Everything downstream
+of the solver is mechanical, so the step is deterministic given the
+state.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .matching import build_rv_graph, retained_route, solve_hailing
+from .matching import build_rv_graph, solve_hailing
 from .model import (
     CostWeights,
     LeaveReason,
@@ -192,7 +195,7 @@ def install_route(vehicle: Vehicle, route: Route | None, now: int, net: Network)
 
 
 def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Network) -> list[Event]:
-    """Write the solver's answer back into request and vehicle state."""
+    """Write the solver's answer back: request statuses, every vehicle's route."""
     batch, now = state.batch_index, state.now
     was_waiting = {
         rid: state.requests[rid].assigned_vehicle
@@ -203,16 +206,13 @@ def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Netwo
     for rid in solution.pairs:
         if rid not in was_waiting and rid not in was_open:
             raise EngineError(f"solution pairs unknown or inactive request {rid}")
-    for vid, route in solution.routes.items():
+    for vid in solution.routes:
         if vid not in state.vehicles:
             raise EngineError(f"solution routes unknown vehicle {vid}")
-        missing = {
-            rid for rid in solution.pairs if solution.pairs[rid] == vid
-        } - set(route.picked_ids())
-        if missing:
-            raise EngineError(
-                f"vehicle {vid}: route omits assigned pickups {sorted(missing)}"
-            )
+    for rid, vid in solution.pairs.items():
+        route = solution.routes.get(vid)
+        if route is None or rid not in route.picked_ids():
+            raise EngineError(f"vehicle {vid}: route omits assigned pickup {rid}")
 
     events = []
     for rid in sorted(set(was_waiting) | was_open):
@@ -232,10 +232,7 @@ def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Netwo
             events.append(Event(batch, EventKind.REJECTED, rid, None, now))
 
     for vehicle in state.sorted_vehicles():
-        if vehicle.id in solution.routes:
-            route = solution.routes[vehicle.id]
-        else:
-            route = retained_route(vehicle, now, net)
+        route = solution.routes.get(vehicle.id)
         # An unchanged route keeps its plan: after `transition` the plan
         # continues from (position, free_at), and each leg's shortest
         # path depends only on its current node and target, so a rebuild

@@ -1,17 +1,21 @@
 """Batch dispatch graph, shared by both modes, and single-rider matching.
 
-Each batch builds a request-trip-vehicle graph: bundles of open
-requests a single vehicle could serve together, each linked to the
-vehicles that can, with the cheapest plan found and its cost increase
-over what the vehicle is already committed to drive. Single-rider
-hailing is the case where every bundle holds one request and every
-plan carries one rider. Its edges are priced by arithmetic from where,
-when and at what cost each vehicle's kept plan ends, and an edge's
-plan is scheduled only when someone reads it, in practice only for the
-chosen edges. The batch is solved as a min-cost matching whose weights
+Each batch works out one kept plan per vehicle (`kept_plans`): its
+on-board riders' dropoffs from its plan start, every pending pickup
+withdrawn. Hailing reaches requests from where that plan ends, pooling
+from where it starts. The batch then builds a request-trip-vehicle
+graph: bundles of open requests a single vehicle could serve together,
+each linked to the vehicles that can, with the cheapest plan found and
+its cost increase over the kept plan. Single-rider hailing is the case
+where every bundle holds one request and every plan carries one rider.
+Its edges are priced by arithmetic from where, when and at what cost
+each kept plan ends, and an edge's plan is scheduled only when someone
+reads it, in practice only for the chosen edges. The solution carries
+every vehicle's next route: its chosen edge's, or else its kept plan's.
+A hailing batch is solved as a min-cost matching whose weights
 encode the operator's priorities: drop as few previously promised
 requests as possible, serve as many requests as possible, then
-minimize the cost increase over the committed plans. The priorities
+minimize the cost increase over the kept plans. The priorities
 and the canonical tie rule (lowest request id, then lowest vehicle id)
 are packed into one integer per edge, so the same instance always
 yields the same assignment.
@@ -22,9 +26,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .model import Request, RequestStatus, Route, SystemState, CostWeights, route_cost, schedule_stops, plan_start
+from .model import RequestStatus, Route, SystemState, CostWeights, route_cost, schedule_stops, plan_start
 from .network import Network
 
 
@@ -71,17 +75,20 @@ class VBEdge:
 
 @dataclass
 class RTVGraph:
-    """Per-batch feasibility structure for either service mode."""
+    """Per-batch feasibility structure for either service mode.
+
+    `baseline_cost` and `kept_routes` give each vehicle's kept plan.
+    """
 
     request_ids: list[int]
     vehicle_ids: list[int]
     bundles: list[Bundle]
     edges: dict[tuple[int, int], VBEdge]
     vehicles_for: dict[int, list[int]]
-    bundles_with: dict[int, list[int]]
     vehicle_bundles: dict[int, list[int]]
     prev_assigned: dict[int, int | None]
     baseline_cost: dict[int, int]
+    kept_routes: dict[int, Route | None]
 
     def edge(self, bundle_id: int, vehicle_id: int) -> VBEdge:
         return self.edges[(bundle_id, vehicle_id)]
@@ -92,7 +99,12 @@ class RTVGraph:
 
 @dataclass
 class AssignmentSolution:
-    """Outcome of one batch optimization, for either service mode."""
+    """Outcome of one batch optimization, for either service mode.
+
+    `routes` holds every vehicle's route after the batch: the chosen
+    edge's route, or else the route of the vehicle's kept plan. A
+    vehicle absent from it has no route.
+    """
 
     pairs: dict[int, int]
     routes: dict[int, Route]
@@ -109,33 +121,16 @@ class AssignmentSolution:
         return (self.kept_previous, self.assigned_count, self.total_cost)
 
 
-def vehicle_release(vehicle, now: int) -> tuple[int, int]:
-    """Node and time from which the vehicle can start a new pickup.
+class KeptPlan(NamedTuple):
+    """A vehicle's committed dropoff `visits`, their `route` from `start`
+    (None without visits), where and when it ends, and its cost."""
 
-    Passengers already on board must reach their committed dropoffs
-    first; a pending pickup is revocable and does not bind. A vehicle
-    part way along an edge binds to that edge's far end.
-    """
-    release = None
-    for stop in vehicle.remaining_stops():
-        if stop.dropoffs & vehicle.onboard:
-            release = stop
-    if release is not None:
-        return release.location, release.planned_arrival
-    return plan_start(vehicle, now)
-
-
-def _committed_dropoffs(vehicle) -> list[tuple[int, tuple, tuple[int, ...]]]:
-    visits = []
-    for stop in vehicle.remaining_stops():
-        keep = stop.dropoffs & vehicle.onboard
-        if keep:
-            visits.append((stop.location, (), tuple(sorted(keep))))
-    return visits
-
-
-def _serving(request: Request) -> list[tuple[int, tuple, tuple]]:
-    return [(request.origin, (request.id,), ()), (request.destination, (), (request.id,))]
+    start: tuple[int, int]
+    visits: list[tuple[int, tuple, tuple[int, ...]]]
+    route: Route | None
+    end_node: int
+    end_time: int
+    cost: int
 
 
 def _plan(net: Network, start: tuple[int, int], visits) -> Route:
@@ -143,53 +138,41 @@ def _plan(net: Network, start: tuple[int, int], visits) -> Route:
     return Route(schedule_stops(net, node, time, visits))
 
 
-def candidate_route(
-    vehicle, request: Request, now: int, net: Network
-) -> Route:
-    """Replacement plan: finish committed dropoffs, then serve the request."""
-    return _plan(net, plan_start(vehicle, now), _committed_dropoffs(vehicle) + _serving(request))
-
-
-def retained_route(vehicle, now: int, net: Network) -> Route | None:
-    """The plan a vehicle keeps when its pending pickup is withdrawn."""
-    visits = _committed_dropoffs(vehicle)
-    return _plan(net, plan_start(vehicle, now), visits) if visits else None
-
-
 def kept_plans(
     state: SystemState, net: Network, now: int, weights: CostWeights
-) -> dict[int, tuple[tuple[int, int], list, int, int, int]]:
-    """Every vehicle's retained plan, worked out once for the batch.
+) -> dict[int, KeptPlan]:
+    """Every vehicle's kept plan, the one rule for what it keeps.
 
-    Maps each vehicle id to (start, visits, end node, end time, cost):
-    `start` and `visits` are what `retained_route` schedules, its plan
-    start and committed dropoffs; the plan ends at the end node at the
-    end time (the plan start when nothing is committed) and costs
-    `route_cost` of the retained route (0 without one).
+    A vehicle keeps its on-board riders' dropoffs, in route order,
+    scheduled from its plan start; a pending pickup is revocable and
+    left out. Without a route the plan ends at its start and costs 0.
     """
     out = {}
     for vehicle in state.sorted_vehicles():
         start = plan_start(vehicle, now)
-        visits = _committed_dropoffs(vehicle)
+        visits = []
+        for stop in vehicle.remaining_stops():
+            keep = stop.dropoffs & vehicle.onboard
+            if keep:
+                visits.append((stop.location, (), tuple(sorted(keep))))
         if visits:
-            kept = _plan(net, start, visits)
-            last = kept.stops[-1]
-            cost = route_cost(kept, vehicle, now, weights, state.requests)
-            out[vehicle.id] = (start, visits, last.location, last.planned_arrival, cost)
+            route = _plan(net, start, visits)
+            last = route.stops[-1]
+            cost = route_cost(route, vehicle, now, weights, state.requests)
+            out[vehicle.id] = KeptPlan(start, visits, route, last.location, last.planned_arrival, cost)
         else:
-            out[vehicle.id] = (start, visits, start[0], start[1], 0)
+            out[vehicle.id] = KeptPlan(start, visits, None, start[0], start[1], 0)
     return out
 
 
 def reachable_vehicles(
-    state: SystemState, net: Network, now: int, start
+    state: SystemState, net: Network, starts: dict[int, tuple[int, int]]
 ) -> dict[int, list[int]]:
     """Vehicles that can reach each open request's origin before its deadline.
 
-    `start(vehicle, now)` gives the node and time each vehicle sets out
-    from. The test ignores revocable pickup commitments, so with either
-    start rule the set can only shrink while a request stays open.
-    Keys are every open request, in id order.
+    `starts` maps each vehicle id to the node and time it sets out
+    from. Keys are every open request, in id order, each listing its
+    vehicles in id order.
     """
     requests = state.active_requests()
     out: dict[int, list[int]] = {request.id: [] for request in requests}
@@ -197,56 +180,55 @@ def reachable_vehicles(
         return out  # no row to read, and off the table a row costs a Dijkstra
     origins = [request.origin for request in requests]
     deadlines = [(out[request.id], request.latest_pickup) for request in requests]
-    for vehicle in state.sorted_vehicles():
-        node, time = start(vehicle, now)
+    for vid, (node, time) in sorted(starts.items()):
         for (fits, deadline), leg in zip(deadlines, net.travel_times(node, origins)):
             if time + leg <= deadline:
-                fits.append(vehicle.id)
+                fits.append(vid)
     return out
 
 
 def feasible_vehicles(
-    state: SystemState, net: Network, now: int
+    state: SystemState, net: Network, kept: dict[int, KeptPlan]
 ) -> dict[int, list[int]]:
     """Vehicles that can still reach each open request before its deadline.
 
-    A vehicle sets out once its on-board riders are dropped off; vehicles
-    drift away or bind to dropoffs from batch to batch, and the deadline
-    never moves.
+    Each vehicle sets out from where and when its kept plan (from
+    `kept_plans`) ends, once its on-board riders are dropped off. The
+    test ignores revocable pickups, so vehicles only drift away or bind
+    to dropoffs from batch to batch, the deadline never moves, and the
+    set can only shrink while a request stays open.
     """
-    return reachable_vehicles(state, net, now, vehicle_release)
+    return reachable_vehicles(
+        state, net, {vid: (plan.end_node, plan.end_time) for vid, plan in kept.items()}
+    )
 
 
 def assemble_graph(
     state: SystemState,
     vehicles_for: dict[int, list[int]],
     plans: dict[frozenset[int], dict[int, tuple[Route | Callable[[], Route], int]]],
-    kept: dict[int, tuple],
+    kept: dict[int, KeptPlan],
 ) -> RTVGraph:
     """Index the batch's workable bundles into a graph.
 
     `plans` maps each bundle's members to {vehicle id: (plan, plan
     cost)}, the plan as a `VBEdge` takes it. Edge cost is the plan's
-    cost minus the cost of the vehicle's kept plan (last in its entry of
-    `kept`, from `kept_plans`), so summing chosen edge costs gives the
-    assignment's true cost increase. Bundle ids follow (size, sorted
-    members).
+    cost minus the cost of the vehicle's kept plan (from `kept_plans`),
+    so summing chosen edge costs gives the assignment's true cost
+    increase. Bundle ids follow (size, sorted members).
     """
     request_ids = list(vehicles_for)
     vehicle_ids = sorted(state.vehicles)
-    baseline = {vid: kept[vid][-1] for vid in vehicle_ids}
+    baseline = {vid: kept[vid].cost for vid in vehicle_ids}
     ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
     bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
     edges: dict[tuple[int, int], VBEdge] = {}
-    bundles_with: dict[int, list[int]] = {rid: [] for rid in request_ids}
     vehicle_bundles: dict[int, list[int]] = {vid: [] for vid in vehicle_ids}
     for bundle in bundles:
         for vid in sorted(plans[bundle.members]):
             route, cost = plans[bundle.members][vid]
             edges[(bundle.id, vid)] = VBEdge(bundle.id, vid, cost - baseline[vid], route)
             vehicle_bundles[vid].append(bundle.id)
-        for rid in bundle.members:
-            bundles_with[rid].append(bundle.id)
     prev = {
         rid: state.requests[rid].assigned_vehicle
         if state.requests[rid].status is RequestStatus.WAITING
@@ -259,10 +241,10 @@ def assemble_graph(
         bundles=bundles,
         edges=edges,
         vehicles_for=vehicles_for,
-        bundles_with=bundles_with,
         vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost=baseline,
+        kept_routes={vid: kept[vid].route for vid in vehicle_ids},
     )
 
 
@@ -274,18 +256,18 @@ def build_rv_graph(
 ) -> RTVGraph:
     """Build the batch's single-rider graph: one singleton bundle per request.
 
-    Each reachable vehicle's plan is its `candidate_route`: finish the
-    committed dropoffs, then serve the request. It is priced from where
+    A vehicle reaches a request when it can get from the end of its
+    kept plan to the origin by the deadline. Its plan finishes the kept
+    plan's dropoffs, then serves the request. It is priced from where
     and when the kept plan ends, as drive·(pickup + trip − end) +
     wait·(pickup − request time) + ride·trip over the kept plan's cost,
     with pickup = end + travel time to the origin: the kept plan's stops
-    keep their times, so this is `route_cost` of the candidate minus
-    that of the kept plan. The candidate's stops are scheduled when the
-    edge's `route` is first read, from the batch's snapshot of the
-    vehicle.
+    keep their times, so this is `route_cost` of the plan minus that of
+    the kept plan. The plan's stops are scheduled when the edge's
+    `route` is first read, from the batch's snapshot of the vehicle.
     """
-    vehicles_for = feasible_vehicles(state, net, now)
     kept = kept_plans(state, net, now, weights)
+    vehicles_for = feasible_vehicles(state, net, kept)
     plans: dict[frozenset[int], dict[int, tuple[Callable[[], Route], int]]] = {}
     for rid, vids in vehicles_for.items():
         request = state.requests[rid]
@@ -293,10 +275,10 @@ def build_rv_graph(
         if trip > request.max_ride:
             vehicles_for[rid] = []
             continue
-        serve = _serving(request)
+        serve = [(request.origin, (rid,), ()), (request.destination, (), (rid,))]
         fits = {}
         for vid in vids:
-            start, visits, end_node, end_time, cost = kept[vid]
+            start, visits, _, end_node, end_time, cost = kept[vid]
             pickup = end_time + net.travel_time(end_node, request.origin)
             added = (
                 weights.drive * (pickup + trip - end_time)
@@ -348,9 +330,10 @@ def _vehicle_options(graph: RTVGraph, frozen: bool):
 
 
 def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolution:
-    """The solution that gives each vehicle in `chosen` its bundle."""
+    """The solution that gives each vehicle in `chosen` its bundle and
+    every other vehicle its kept route."""
     pairs: dict[int, int] = {}
-    routes: dict[int, Route] = {}
+    routes = {vid: route for vid, route in graph.kept_routes.items() if route is not None}
     total = 0
     for vid, bid in sorted(chosen.items()):
         edge = graph.edge(bid, vid)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .matching import (
     AssignmentSolution,
     Bundle,
+    KeptPlan,
     MatchingError,
     RTVGraph,
     VBEdge,
@@ -36,15 +37,17 @@ from .network import Network
 
 
 def divertable_vehicles(
-    state: SystemState, net: Network, now: int
+    state: SystemState, net: Network, kept: dict[int, KeptPlan]
 ) -> dict[int, list[int]]:
     """Vehicles that could head straight to each request in time.
 
-    Ignores every revocable commitment and any detour bookkeeping: the
-    vehicle is imagined turning toward the request at the next node it
-    reaches. The set can only shrink while a request stays open.
+    Each vehicle sets out from where and when its kept plan (from
+    `kept_plans`) starts. This ignores every revocable commitment and
+    any detour bookkeeping: the vehicle is imagined turning toward the
+    request at the next node it reaches. The set can only shrink while a
+    request stays open.
     """
-    return reachable_vehicles(state, net, now, plan_start)
+    return reachable_vehicles(state, net, {vid: plan.start for vid, plan in kept.items()})
 
 
 def best_route(
@@ -160,7 +163,8 @@ def build_rtv_graph(
     """
     if max_bundle_size is not None and max_bundle_size < 1:
         raise ValueError("max_bundle_size must be positive or None")
-    vehicles_for = divertable_vehicles(state, net, now)
+    kept = kept_plans(state, net, now, weights)
+    vehicles_for = divertable_vehicles(state, net, kept)
     plans: dict[frozenset[int], dict[int, tuple[Route, int]]] = {}
     level: list[frozenset[int]] = []
     for rid, vids in vehicles_for.items():
@@ -203,7 +207,7 @@ def build_rtv_graph(
                     grown.append(union)
         level = grown
 
-    return assemble_graph(state, vehicles_for, plans, kept_plans(state, net, now, weights))
+    return assemble_graph(state, vehicles_for, plans, kept)
 
 
 def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
@@ -349,5 +353,7 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
             del chosen[vid]
 
     walk(0, frozenset(), frozenset(), {}, 0, 0, 0)
+    if incumbent[1] is None:  # each commitment can be kept, but not all at once
+        raise MatchingError("no joint choice of bundles keeps every frozen commitment")
     return _solution_from(graph, incumbent[1])
 

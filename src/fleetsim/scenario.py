@@ -20,7 +20,6 @@ from .engine import (
     EngineConfig,
     EngineError,
     Event,
-    EventKind,
     Mode,
     ObjectiveReport,
     Reassignment,
@@ -336,24 +335,6 @@ def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
         reject=reject,
         walkaway=walkaway,
     )
-
-
-def late_assignments(events: list[Event]) -> list[int]:
-    """Requests accepted in a later batch than the one that revealed them.
-
-    The outcome-equivalence argument says this list is always empty: a
-    request the optimizer passes over once is never picked up later, no
-    matter how long it is allowed to linger.
-    """
-    revealed_batch: dict[int, int] = {}
-    offenders = []
-    for event in events:
-        if event.kind is EventKind.REVEALED:
-            revealed_batch[event.request] = event.batch
-        elif event.kind is EventKind.ACCEPTED:
-            if event.batch > revealed_batch[event.request]:
-                offenders.append(event.request)
-    return offenders
 
 
 # -- config files ----------------------------------------------------------------

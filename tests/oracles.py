@@ -7,15 +7,27 @@ enumeration under the same objective and tie rules as the library's
 solvers, so the tests can compare the two answers. The pooling oracle
 applies frozen commitments and builds its answer with its own code,
 `oracle_options` and `_oracle_solution`, so that a fault in the
-library's versions cannot pass unseen.
+library's versions cannot pass unseen. `retained_route` and
+`candidate_route` schedule the routes hailing keeps and offers straight
+from `schedule_stops`, apart from the graph builder's own plan code.
+`late_assignments` reads an event log for requests accepted late.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
+from fleetsim.engine import Event, EventKind
 from fleetsim.matching import AssignmentSolution, MatchingError, RTVGraph
-from fleetsim.model import Request, Route, RouteStructureError, Vehicle, unrealizable_stop
+from fleetsim.model import (
+    Request,
+    Route,
+    RouteStructureError,
+    Vehicle,
+    plan_start,
+    schedule_stops,
+    unrealizable_stop,
+)
 from fleetsim.network import Network
 
 _ORACLE_EDGE_LIMIT = 20
@@ -71,6 +83,58 @@ def route_feasible(
                 f"{vehicle.capacity}"
             )
     return True, None
+
+
+def _dropoff_visits(vehicle: Vehicle) -> list[tuple[int, tuple, tuple]]:
+    visits = []
+    for stop in vehicle.remaining_stops():
+        riders = stop.dropoffs & vehicle.onboard
+        if riders:
+            visits.append((stop.location, (), tuple(sorted(riders))))
+    return visits
+
+
+def retained_route(vehicle: Vehicle, now: int, net: Network) -> Route | None:
+    """The route a vehicle keeps when its pending pickups are withdrawn.
+
+    It drops the on-board riders off in the order the vehicle's route
+    holds them, from the vehicle's plan start; None when nobody is on
+    board.
+    """
+    visits = _dropoff_visits(vehicle)
+    if not visits:
+        return None
+    node, time = plan_start(vehicle, now)
+    return Route(schedule_stops(net, node, time, visits))
+
+
+def candidate_route(vehicle: Vehicle, request: Request, now: int, net: Network) -> Route:
+    """Hailing's plan for a request: the retained dropoffs, then the
+    request's pickup and dropoff."""
+    visits = _dropoff_visits(vehicle) + [
+        (request.origin, (request.id,), ()),
+        (request.destination, (), (request.id,)),
+    ]
+    node, time = plan_start(vehicle, now)
+    return Route(schedule_stops(net, node, time, visits))
+
+
+def late_assignments(events: list[Event]) -> list[int]:
+    """Requests accepted in a later batch than the one that revealed them.
+
+    The outcome-equivalence argument says this list is always empty: a
+    request the optimizer passes over once is never picked up later, no
+    matter how long it is allowed to linger.
+    """
+    revealed_batch: dict[int, int] = {}
+    offenders = []
+    for event in events:
+        if event.kind is EventKind.REVEALED:
+            revealed_batch[event.request] = event.batch
+        elif event.kind is EventKind.ACCEPTED:
+            if event.batch > revealed_batch[event.request]:
+                offenders.append(event.request)
+    return offenders
 
 
 def priority_matching_oracle(

@@ -15,9 +15,10 @@ import pytest
 from fleetsim.engine import EngineConfig, Mode
 from fleetsim.matching import (
     feasible_vehicles,
+    kept_plans,
     solve_hailing,
 )
-from fleetsim.model import Route, Stop
+from fleetsim.model import CostWeights, Route, Stop
 from fleetsim.network import Network
 from fleetsim.pooling import (
     Bundle,
@@ -30,11 +31,10 @@ from fleetsim.pooling import (
 from fleetsim.scenario import (
     ScenarioConfig,
     event_log_lines,
-    late_assignments,
     run_scenario,
     twin_run,
 )
-from oracles import exhaustive_pooling_oracle, priority_matching_oracle
+from oracles import exhaustive_pooling_oracle, late_assignments, priority_matching_oracle
 
 HAILING_SEEDS = range(1000, 1100)
 POOLING_SEEDS = range(2000, 2100)
@@ -82,7 +82,9 @@ class HailingTrace:
         self.batches: list[dict] = []
 
     def __call__(self, ctx) -> None:
-        reach = feasible_vehicles(ctx.state, self.net, ctx.now)
+        reach = feasible_vehicles(
+            ctx.state, self.net, kept_plans(ctx.state, self.net, ctx.now, CostWeights())
+        )
         self.batches.append(
             {
                 "vbar": {rid: frozenset(vids) for rid, vids in reach.items()},
@@ -208,13 +210,13 @@ def _random_rv_instance(rng: random.Random) -> RTVGraph:
         bundles=bundles,
         edges=edges,
         vehicles_for=vehicles_for,
-        bundles_with={rid: [bundle_of[rid]] if rid in bundle_of else [] for rid in request_ids},
         vehicle_bundles={
             vid: [bundle_of[rid] for rid in request_ids if vid in vehicles_for[rid]]
             for vid in vehicle_ids
         },
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vehicle_ids},
+        kept_routes={vid: None for vid in vehicle_ids},
     )
 
 
@@ -275,17 +277,16 @@ def _random_rtv_instance(rng: random.Random) -> RTVGraph | None:
         if len(members) == 1 and vid not in used and rng.random() < 0.3:
             prev[members[0]] = vid
             used.add(vid)
-    bundles_with = {rid: [b.id for b in bundles if rid in b.members] for rid in rids}
     return RTVGraph(
         request_ids=rids,
         vehicle_ids=vids,
         bundles=bundles,
         edges=edges,
         vehicles_for={rid: vids for rid in rids},
-        bundles_with=bundles_with,
         vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vids},
+        kept_routes={vid: None for vid in vids},
     )
 
 
@@ -362,7 +363,9 @@ class InsertionProbe:
         ]
         if not unassigned:
             return
-        reach = divertable_vehicles(ctx.state, self.net, ctx.now)
+        reach = divertable_vehicles(
+            ctx.state, self.net, kept_plans(ctx.state, self.net, ctx.now, self.weights)
+        )
         for rid in unassigned:
             if not reach.get(rid):
                 continue

@@ -23,7 +23,7 @@ from fleetsim.engine import (
     step,
     walkaway_sweep,
 )
-from fleetsim.matching import AssignmentSolution, retained_route
+from fleetsim.matching import AssignmentSolution
 from fleetsim.model import (
     LeaveReason,
     Request,
@@ -32,10 +32,12 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
+    schedule_stops,
     validate_state,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.scenario import ScenarioConfig, build_fleet, generate_demand
+from oracles import retained_route
 
 
 def fresh_request(rid, origin, destination, request_time=0, max_wait=5, max_ride=20):
@@ -179,6 +181,44 @@ def test_apply_assignment_reassignment_event():
     assert request.assigned_vehicle == 1
     assert state.vehicles[1].route == moved
     assert state.vehicles[0].route is None
+
+
+def test_apply_assignment_replans_a_route_that_reorders_the_same_requests():
+    # the new route serves the same riders at the same nodes, with the
+    # two pickups swapped, so the old motion plan must not be kept
+    net = Network.build_grid(5, 5)
+    state = SystemState()
+    vehicle = Vehicle(id=0, capacity=2, position=grid_node(5, 0, 0))
+    state.add_vehicle(vehicle)
+    a = fresh_request(1, grid_node(5, 1, 0), grid_node(5, 4, 0))
+    b = fresh_request(2, grid_node(5, 0, 1), grid_node(5, 4, 1))
+    for request in (a, b):
+        state.add_request(request)
+        request.reveal()
+        request.assign(0)
+
+    def route(first, second):
+        visits = [
+            (first.origin, (first.id,), ()),
+            (second.origin, (second.id,), ()),
+            (a.destination, (), (a.id,)),
+            (b.destination, (), (b.id,)),
+        ]
+        return Route(schedule_stops(net, vehicle.position, 0, visits))
+
+    install_route(vehicle, route(a, b), 0, net)
+    old_plan = vehicle.plan
+    swapped = route(b, a)
+    solution = AssignmentSolution(
+        pairs={1: 0, 2: 0}, routes={0: swapped}, kept_previous=2, assigned_count=2,
+        total_cost=0,
+    )
+    assert apply_assignment(state, solution, EngineConfig(), net) == []
+    fresh = Vehicle(id=0, capacity=2, position=vehicle.position)
+    install_route(fresh, swapped, 0, net)
+    assert vehicle.route == swapped
+    assert vehicle.plan == fresh.plan
+    assert vehicle.plan is not old_plan
 
 
 def test_walkaway_sweep_guard_under_early_reject():

@@ -13,11 +13,9 @@ from fleetsim.matching import (
     RTVGraph,
     VBEdge,
     build_rv_graph,
-    candidate_route,
     feasible_vehicles,
-    retained_route,
+    kept_plans,
     solve_hailing,
-    vehicle_release,
 )
 from fleetsim.model import (
     CostWeights,
@@ -31,7 +29,7 @@ from fleetsim.model import (
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import solve_pooling
-from oracles import priority_matching_oracle, route_feasible
+from oracles import candidate_route, priority_matching_oracle, retained_route, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 
@@ -57,16 +55,22 @@ def make_graph(request_ids, vehicle_ids, costs, prev=None):
         bundles=bundles,
         edges=edges,
         vehicles_for=vehicles_for,
-        bundles_with={rid: [bundle_of[rid]] if rid in bundle_of else [] for rid in request_ids},
         vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
+        kept_routes={vid: None for vid in vehicle_ids},
     )
+
+
+def singleton_id(graph, request_id):
+    """The id of a request's singleton bundle."""
+    (bid,) = [b.id for b in graph.bundles if b.members == {request_id}]
+    return bid
 
 
 def rv_edge(graph, request_id, vehicle_id):
     """The edge of a request's singleton bundle to a vehicle."""
-    return graph.edge(graph.bundles_with[request_id][0], vehicle_id)
+    return graph.edge(singleton_id(graph, request_id), vehicle_id)
 
 
 @st.composite
@@ -266,7 +270,7 @@ def test_rv_graph_reach_boundary():
     _add_request(state, 1, grid_node(5, 4, 1), grid_node(5, 0, 4), max_wait=5, net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
     assert graph.vehicles_for[1] == [0]
-    assert (graph.bundles_with[1][0], 0) in graph.edges
+    assert (singleton_id(graph, 1), 0) in graph.edges
 
     net, state = _basic_state()
     _add_request(state, 1, grid_node(5, 4, 2), grid_node(5, 0, 4), max_wait=5, net=net)
@@ -297,7 +301,8 @@ def test_rv_graph_release_after_onboard_dropoff():
     vehicle = Vehicle(id=1, capacity=2, position=grid_node(5, 4, 4), onboard={9})
     vehicle.route = Route((Stop(rider.destination, frozenset(), frozenset({9}), 2),))
     state.add_vehicle(vehicle)
-    assert vehicle_release(vehicle, 0) == (rider.destination, 2)
+    plan = kept_plans(state, net, 0, CostWeights())[1]
+    assert (plan.end_node, plan.end_time) == (rider.destination, 2)
 
     # too far once the dropoff is honored: release 2 + travel 5 > deadline 5
     _add_request(state, 1, grid_node(5, 1, 0), grid_node(5, 1, 3), max_wait=5, net=net)
@@ -348,7 +353,8 @@ def test_rv_graph_mid_edge_release():
     vehicle = Vehicle(id=0, capacity=1, position=grid_node(5, 3, 0), free_at=4)
     state.add_vehicle(vehicle)
     _add_request(state, 1, grid_node(5, 4, 0), grid_node(5, 4, 3), request_time=3, max_wait=2, net=net)
-    assert vehicle_release(vehicle, 3) == (grid_node(5, 3, 0), 4)
+    plan = kept_plans(state, net, 3, CostWeights())[0]
+    assert (plan.end_node, plan.end_time) == (grid_node(5, 3, 0), 4)
     graph = build_rv_graph(state, net, 3, CostWeights())
     # pickup at 4 + 1 = 5, deadline 3 + 2 = 5
     assert graph.vehicles_for[1] == [0]
@@ -394,14 +400,14 @@ def test_feasible_vehicles_shrink_as_time_passes():
     for rid in range(6):
         origin, destination = rng.sample(range(36), 2)
         _add_request(state, rid, origin, destination, max_wait=rng.randrange(3, 9), net=net)
-    before = feasible_vehicles(state, net, 0)
+    before = feasible_vehicles(state, net, kept_plans(state, net, 0, CostWeights()))
     graph = build_rv_graph(state, net, 0, CostWeights())
     solution = solve_hailing(graph)
     for rid, vid in solution.pairs.items():
         state.requests[rid].assign(vid)
         state.vehicles[vid].route = solution.routes[vid]
     state.now = 2
-    after = feasible_vehicles(state, net, 2)
+    after = feasible_vehicles(state, net, kept_plans(state, net, 2, CostWeights()))
     for rid in after:
         assert set(after[rid]) <= set(before[rid])
 
@@ -475,6 +481,7 @@ def test_rv_edges_are_priced_as_their_candidate_routes(case):
     graph = build_rv_graph(state, net, now, weights)
     for vid, vehicle in state.vehicles.items():
         kept = retained_route(vehicle, now, net)
+        assert graph.kept_routes[vid] == kept
         assert graph.baseline_cost[vid] == (
             0 if kept is None else route_cost(kept, vehicle, now, weights, state.requests)
         )
@@ -482,6 +489,8 @@ def test_rv_edges_are_priced_as_their_candidate_routes(case):
         (rid,) = graph.members(bid)
         vehicle = state.vehicles[vid]
         assert edge.route == candidate_route(vehicle, state.requests[rid], now, net)
+        ok, reason = route_feasible(vehicle, edge.route, now, net, state.requests)
+        assert ok, reason
         assert edge.cost == (
             route_cost(edge.route, vehicle, now, weights, state.requests)
             - graph.baseline_cost[vid]

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from fleetsim.matching import MatchingError, _vehicle_options
+from fleetsim.matching import MatchingError, _vehicle_options, kept_plans
 from fleetsim.model import (
     CostWeights,
     Request,
@@ -247,8 +247,8 @@ def test_rtv_graph_sub_bundle_pruning_cuts_the_triple():
         assert ok, reason
         for rid in graph.members(bid):
             assert vid in graph.vehicles_for[rid]
-    assert graph.bundles_with[1] == [0, 3, 4]
-    assert graph.bundles_with[2] == [1, 3]
+    assert [b.id for b in graph.bundles if 1 in b.members] == [0, 3, 4]
+    assert [b.id for b in graph.bundles if 2 in b.members] == [1, 3]
 
 
 def test_rtv_graph_bundle_size_cap():
@@ -315,7 +315,7 @@ def test_divertable_vehicles_boundary_and_commitment_blindness():
 
     reachable = make_request(1, grid_node(5, 4, 0), grid_node(5, 4, 3), request_time=2, max_wait=2)
     state.add_request(reachable)
-    out = divertable_vehicles(state, net, 2)
+    out = divertable_vehicles(state, net, kept_plans(state, net, 2, _W))
     # vehicle 0: 3 + 1 = 4 == deadline; vehicle 1: 2 + 7 > 4
     assert out[1] == [0]
 
@@ -339,10 +339,6 @@ def synth_graph(bundle_members, edge_costs, prev=None, vehicle_ids=None, extra_r
         edges[(bid, vid)] = VBEdge(bid, vid, cost, _DUMMY_ROUTE)
         vehicle_bundles[vid].append(bid)
     request_ids = sorted(set().union(*groups, set(extra_requests)))
-    bundles_with = {rid: [] for rid in request_ids}
-    for b in bundles:
-        for rid in b.members:
-            bundles_with[rid].append(b.id)
     prev = dict(prev or {})
     return RTVGraph(
         request_ids=request_ids,
@@ -350,10 +346,10 @@ def synth_graph(bundle_members, edge_costs, prev=None, vehicle_ids=None, extra_r
         bundles=bundles,
         edges=edges,
         vehicles_for={rid: vehicle_ids for rid in request_ids},
-        bundles_with=bundles_with,
         vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
+        kept_routes={vid: None for vid in vehicle_ids},
     )
 
 
@@ -479,6 +475,21 @@ def test_solver_matches_exhaustive_enumeration():
     assert checked >= 80
 
 
+def test_frozen_commitments_no_joint_choice_keeps_raise():
+    # each committed vehicle has a bundle keeping its commitment, but
+    # both bundles hold request 5
+    graph = synth_graph(
+        [(1, 5, 7), (5, 6)],
+        {((1, 5, 7), 0): 3, ((5, 6), 1): 2},
+        prev={1: 0, 6: 1},
+    )
+    with pytest.raises(MatchingError, match="joint"):
+        exhaustive_pooling_oracle(graph, frozen=True)
+    with pytest.raises(MatchingError, match="joint"):
+        solve_pooling(graph, frozen=True)
+    assert solve_pooling(graph).pairs == exhaustive_pooling_oracle(graph).pairs == {1: 0, 5: 0, 7: 0}
+
+
 def test_oracle_frozen_filter_agrees_with_the_solvers_filter():
     # the oracle applies frozen commitments with its own code; the solver
     # must match it where commitments can be kept and fail where they
@@ -500,8 +511,9 @@ def test_oracle_frozen_filter_agrees_with_the_solvers_filter():
             except MatchingError as exc:
                 if "joint" in str(exc):
                     # each vehicle can keep its own commitments, but no
-                    # disjoint choice keeps them all; build_rtv_graph
-                    # never makes such a graph
+                    # disjoint choice keeps them all
+                    with pytest.raises(MatchingError, match="joint"):
+                        solve_pooling(graph, frozen=frozen)
                     continue
                 with pytest.raises(MatchingError, match="lost feasibility"):
                     solve_pooling(graph, frozen=frozen)

@@ -16,13 +16,13 @@ from fleetsim.scenario import (
     build_fleet,
     event_log_lines,
     generate_demand,
-    late_assignments,
     metrics_csv,
     parse_config_text,
     parse_policy,
     run_scenario,
     twin_run,
 )
+from oracles import late_assignments
 
 
 def small_cfg(**kwargs):

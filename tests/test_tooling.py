@@ -1,10 +1,11 @@
-"""The benchmark tracer's bindings and metrics exist.
+"""The benchmark tracer's bindings and metrics exist, and are reached.
 
 perfbench/spans.py wraps functions at the module or class attribute
 their callers look up, and its tracer reports the per-layer metrics
 BENCHMARK.json declares. A binding renamed or removed in the package,
 or a declared metric the tracer does not report, would otherwise only
-show up when a traced benchmark run fails.
+show up when a traced benchmark run fails; a binding the package no
+longer calls through would only show up as a zero metric.
 """
 
 from __future__ import annotations
@@ -44,3 +45,33 @@ def test_every_declared_layer_metric_is_reported():
     assert names
     reported = _spans_module().Tracer(fleetsim).layer_metrics()
     assert [name for name in names if name not in reported] == []
+
+
+def test_every_traced_binding_is_reached():
+    # a refactor that stops calling a traced function through its
+    # binding would read zero for that layer's metric, and fail nowhere
+    spans = _spans_module()
+    configs = [
+        fleetsim.ScenarioConfig(
+            seed=1000, grid_width=10, grid_height=10, vehicle_count=13,
+            vehicle_capacity=1, rate=1.7, max_wait_low=5, max_wait_high=8,
+            engine=fleetsim.EngineConfig(mode=fleetsim.Mode.HAILING, horizon=20),
+        ),
+        fleetsim.ScenarioConfig(
+            seed=2000, grid_width=10, grid_height=10, vehicle_count=15,
+            vehicle_capacity=4, rate=1.4, max_wait_low=4, max_wait_high=7,
+            engine=fleetsim.EngineConfig(
+                mode=fleetsim.Mode.POOLING, horizon=20, max_bundle_size=3
+            ),
+        ),
+    ]
+    tracer = spans.Tracer(fleetsim)
+    tracer.attach("bindings")
+    try:
+        for cfg in configs:
+            fleetsim.twin_run(cfg)
+    finally:
+        tracer.detach()
+    names = sorted({name for name, _, _, _, _ in spans._targets(fleetsim)})
+    assert names
+    assert [name for name in names if tracer.calls[name] == 0] == []
