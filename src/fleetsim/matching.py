@@ -8,17 +8,18 @@ graph: bundles of open requests a single vehicle could serve together,
 each linked to the vehicles that can, with the cheapest plan found and
 its cost increase over the kept plan. Single-rider hailing is the case
 where every bundle holds one request and every plan carries one rider.
-Its edges are priced by arithmetic from where, when and at what cost
-each kept plan ends, and an edge's plan is scheduled only when someone
-reads it, in practice only for the chosen edges. The solution carries
-every vehicle's next route: its chosen edge's, or else its kept plan's.
-A hailing batch is solved as a min-cost matching whose weights
-encode the operator's priorities: drop as few previously promised
-requests as possible, serve as many requests as possible, then
-minimize the cost increase over the kept plans. The priorities
-and the canonical tie rule (lowest request id, then lowest vehicle id)
-are packed into one integer per edge, so the same instance always
-yields the same assignment.
+Its edges, and a riderless pooling vehicle's single-rider edges, are
+priced by arithmetic from where, when and at what cost each kept plan
+ends (`single_rider_plans`). In both modes an edge's plan is scheduled
+only when someone reads it, in practice only for the chosen edges. The
+solution carries every vehicle's next route: its chosen edge's, or else
+its kept plan's. A hailing batch is solved as a min-cost matching whose
+weights encode the operator's priorities: drop as few previously
+promised requests as possible, serve as many requests as possible, then
+minimize the cost increase over the kept plans. The priorities and the
+canonical tie rule (lowest request id, then lowest vehicle id) are
+packed into one integer per edge, so the same instance always yields
+the same assignment.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .model import RequestStatus, Route, SystemState, CostWeights, route_cost, schedule_stops, plan_start
+from .model import CostWeights, Request, RequestStatus, Route, SystemState, plan_start, route_cost, schedule_stops
 from .network import Network
 
 
@@ -84,7 +85,6 @@ class RTVGraph:
     vehicle_ids: list[int]
     bundles: list[Bundle]
     edges: dict[tuple[int, int], VBEdge]
-    vehicles_for: dict[int, list[int]]
     vehicle_bundles: dict[int, list[int]]
     prev_assigned: dict[int, int | None]
     baseline_cost: dict[int, int]
@@ -205,19 +205,19 @@ def feasible_vehicles(
 
 def assemble_graph(
     state: SystemState,
-    vehicles_for: dict[int, list[int]],
+    request_ids: list[int],
     plans: dict[frozenset[int], dict[int, tuple[Route | Callable[[], Route], int]]],
     kept: dict[int, KeptPlan],
 ) -> RTVGraph:
     """Index the batch's workable bundles into a graph.
 
-    `plans` maps each bundle's members to {vehicle id: (plan, plan
-    cost)}, the plan as a `VBEdge` takes it. Edge cost is the plan's
-    cost minus the cost of the vehicle's kept plan (from `kept_plans`),
-    so summing chosen edge costs gives the assignment's true cost
-    increase. Bundle ids follow (size, sorted members).
+    `request_ids` lists the open requests in id order. `plans` maps each
+    bundle's members to {vehicle id: (plan, plan cost)}, the plan as a
+    `VBEdge` takes it. Edge cost is the plan's cost minus the cost of the
+    vehicle's kept plan (from `kept_plans`), so summing chosen edge costs
+    gives the assignment's true cost increase. Bundle ids follow (size,
+    sorted members).
     """
-    request_ids = list(vehicles_for)
     vehicle_ids = sorted(state.vehicles)
     baseline = {vid: kept[vid].cost for vid in vehicle_ids}
     ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
@@ -240,12 +240,42 @@ def assemble_graph(
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicles_for=vehicles_for,
         vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost=baseline,
         kept_routes={vid: kept[vid].route for vid in vehicle_ids},
     )
+
+
+def single_rider_plans(
+    net: Network, weights: CostWeights, request: Request, kept: dict[int, KeptPlan], vehicle_ids: list[int]
+) -> dict[int, tuple[Callable[[], Route], int]]:
+    """{vehicle id: (plan, cost)} serving `request` alone after each kept plan.
+
+    The plan finishes the kept plan's dropoffs, then serves the request.
+    It is priced from where and when the kept plan ends, as drive·(pickup
+    + trip − end) + wait·(pickup − request time) + ride·trip over the
+    kept plan's cost, with pickup = end + travel time to the origin: the
+    kept stops keep their times, so this is `route_cost` of the plan. The
+    plan is scheduled when called, from the batch's kept plan. Empty when
+    the direct trip alone exceeds the request's ride limit.
+    """
+    trip = net.travel_time(request.origin, request.destination)
+    if trip > request.max_ride:
+        return {}
+    rid = request.id
+    serve = [(request.origin, (rid,), ()), (request.destination, (), (rid,))]
+    fits = {}
+    for vid in vehicle_ids:
+        start, visits, _, end_node, end_time, cost = kept[vid]
+        pickup = end_time + net.travel_time(end_node, request.origin)
+        added = (
+            weights.drive * (pickup + trip - end_time)
+            + weights.wait * (pickup - request.request_time)
+            + weights.ride * trip
+        )
+        fits[vid] = (partial(_plan, net, start, visits + serve), cost + added)
+    return fits
 
 
 def build_rv_graph(
@@ -257,38 +287,17 @@ def build_rv_graph(
     """Build the batch's single-rider graph: one singleton bundle per request.
 
     A vehicle reaches a request when it can get from the end of its
-    kept plan to the origin by the deadline. Its plan finishes the kept
-    plan's dropoffs, then serves the request. It is priced from where
-    and when the kept plan ends, as drive·(pickup + trip − end) +
-    wait·(pickup − request time) + ride·trip over the kept plan's cost,
-    with pickup = end + travel time to the origin: the kept plan's stops
-    keep their times, so this is `route_cost` of the plan minus that of
-    the kept plan. The plan's stops are scheduled when the edge's
-    `route` is first read, from the batch's snapshot of the vehicle.
+    kept plan to the origin by the deadline; its plan and cost come
+    from `single_rider_plans`.
     """
     kept = kept_plans(state, net, now, weights)
-    vehicles_for = feasible_vehicles(state, net, kept)
+    reach = feasible_vehicles(state, net, kept)
     plans: dict[frozenset[int], dict[int, tuple[Callable[[], Route], int]]] = {}
-    for rid, vids in vehicles_for.items():
-        request = state.requests[rid]
-        trip = net.travel_time(request.origin, request.destination)
-        if trip > request.max_ride:
-            vehicles_for[rid] = []
-            continue
-        serve = [(request.origin, (rid,), ()), (request.destination, (), (rid,))]
-        fits = {}
-        for vid in vids:
-            start, visits, _, end_node, end_time, cost = kept[vid]
-            pickup = end_time + net.travel_time(end_node, request.origin)
-            added = (
-                weights.drive * (pickup + trip - end_time)
-                + weights.wait * (pickup - request.request_time)
-                + weights.ride * trip
-            )
-            fits[vid] = (partial(_plan, net, start, visits + serve), cost + added)
+    for rid, vids in reach.items():
+        fits = single_rider_plans(net, weights, state.requests[rid], kept, vids)
         if fits:
             plans[frozenset({rid})] = fits
-    return assemble_graph(state, vehicles_for, plans, kept)
+    return assemble_graph(state, list(reach), plans, kept)
 
 
 def _vehicle_options(graph: RTVGraph, frozen: bool):

@@ -3,36 +3,24 @@
 Open requests are grouped into bundles a single vehicle could serve
 together. Bundles are grown level by level, each size admitted only
 when all of its sub-bundles proved workable, and each carries the
-cheapest feasible stop sequence per candidate vehicle. A branch and
-bound search then picks at most one bundle per vehicle, covering each
-request at most once, under the same lexicographic priorities as the
-single-rider mode.
+cheapest feasible visit sequence per candidate vehicle, scheduled only
+when its route is read. A vehicle with nobody on board serves a lone
+request as in single-rider mode, priced by `single_rider_plans`;
+`best_route` searches the rest. A branch and bound search then picks
+at most one bundle per vehicle, covering each request at most once,
+under the same lexicographic priorities as the single-rider mode.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from .matching import (
-    AssignmentSolution,
-    Bundle,
-    KeptPlan,
-    MatchingError,
-    RTVGraph,
-    VBEdge,
-    _solution_from,
-    _vehicle_options,
-    assemble_graph,
-    kept_plans,
-    reachable_vehicles,
+    AssignmentSolution, Bundle, KeptPlan, MatchingError, RTVGraph, VBEdge, _plan, _solution_from,
+    _vehicle_options, assemble_graph, kept_plans, reachable_vehicles, single_rider_plans,
 )
-from .model import (
-    CostWeights,
-    Route,
-    SystemState,
-    Vehicle,
-    plan_start,
-    route_cost,  # unused here; perfbench/spans.py traces this binding
-    schedule_stops,
-)
+# route_cost is unused here; perfbench/spans.py traces this binding
+from .model import CostWeights, SystemState, Vehicle, plan_start, route_cost
 from .network import Network
 
 
@@ -57,15 +45,17 @@ def best_route(
     net: Network,
     requests,
     weights: CostWeights,
-) -> tuple[Route, int] | None:
+) -> tuple[list[tuple[int, tuple, tuple]], int] | None:
     """Cheapest feasible plan serving the bundle plus everyone on board.
 
     Searches stop sequences depth first with running lower bounds on
     every pending deadline and ride limit. Among equal-cost sequences
     the first in visit order (by request id, dropoffs before pickups)
     wins, so the result is deterministic for a given state.
+
+    Returns the winning (node, pickups, dropoffs) visits, to be driven
+    from `plan_start(vehicle, now)`, with their `route_cost`, or None.
     """
-    new_ids = sorted(members)
     start_node, start_time = plan_start(vehicle, now)
     boarded: dict[int, int] = {}
     for rid in sorted(vehicle.onboard):
@@ -92,11 +82,9 @@ def best_route(
         if not picks and not drops:
             if best[0] is None or cost < best[0]:
                 best[0] = cost
-                best[1] = tuple(visits)
+                best[1] = list(visits)
             return
-        options = sorted(
-            [(rid, 0) for rid in drops] + [(rid, 1) for rid in picks]
-        )
+        options = sorted([(rid, 0) for rid in drops] + [(rid, 1) for rid in picks])
         for rid, kind in options:
             request = requests[rid]
             if kind == 1:
@@ -112,7 +100,7 @@ def best_route(
                 next_picks = picks - {rid}
                 next_drops = drops | {rid}
                 if not violates_bounds(target, arrival, next_picks, next_drops):
-                    visits.append((rid, kind))
+                    visits.append((target, (rid,), ()))
                     extend(target, arrival, next_picks, next_drops, load + 1, visits, cost + step_cost)
                     visits.pop()
                 del boarded[rid]
@@ -125,26 +113,18 @@ def best_route(
                 step_cost = weights.drive * leg + weights.ride * (arrival - boarded[rid])
                 next_drops = drops - {rid}
                 if not violates_bounds(target, arrival, picks, next_drops):
-                    visits.append((rid, kind))
+                    visits.append((target, (), (rid,)))
                     extend(target, arrival, picks, next_drops, load - 1, visits, cost + step_cost)
                     visits.pop()
 
-    picks = frozenset(new_ids)
+    picks = frozenset(members)
     drops = frozenset(vehicle.onboard)
     if violates_bounds(start_node, start_time, picks, drops):
         return None
     extend(start_node, start_time, picks, drops, len(vehicle.onboard), [], 0)
     if best[0] is None:
         return None
-    stops = []
-    for rid, kind in best[1]:
-        request = requests[rid]
-        if kind == 1:
-            stops.append((request.origin, (rid,), ()))
-        else:
-            stops.append((request.destination, (), (rid,)))
-    route = Route(schedule_stops(net, start_node, start_time, stops))
-    return route, best[0]
+    return best[1], best[0]
 
 
 def build_rtv_graph(
@@ -159,21 +139,31 @@ def build_rtv_graph(
     Bundles grow by one request per level; a candidate is admitted only
     if every sub-bundle one smaller already has an edge, and only
     vehicles workable for all those sub-bundles are tried. With
-    max_bundle_size=None levels continue until none survives.
+    max_bundle_size=None levels continue until none survives. A
+    vehicle whose kept plan is empty gets its single-rider edges from
+    `single_rider_plans`; every other edge is `best_route`'s plan. Each
+    edge holds its plan unscheduled, from the kept plan's start.
     """
     if max_bundle_size is not None and max_bundle_size < 1:
         raise ValueError("max_bundle_size must be positive or None")
     kept = kept_plans(state, net, now, weights)
-    vehicles_for = divertable_vehicles(state, net, kept)
-    plans: dict[frozenset[int], dict[int, tuple[Route, int]]] = {}
-    level: list[frozenset[int]] = []
-    for rid, vids in vehicles_for.items():
-        group = frozenset({rid})
-        fits: dict[int, tuple[Route, int]] = {}
+    reach = divertable_vehicles(state, net, kept)
+    plans: dict[frozenset[int], dict] = {}
+
+    def fit(members: frozenset[int], vids) -> dict:
+        fits = {}
         for vid in vids:
-            found = best_route(state.vehicles[vid], group, now, net, state.requests, weights)
+            found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
             if found is not None:
-                fits[vid] = found
+                fits[vid] = (partial(_plan, net, kept[vid].start, found[0]), found[1])
+        return fits
+
+    level: list[frozenset[int]] = []
+    for rid, vids in reach.items():
+        group = frozenset({rid})
+        riderless = [vid for vid in vids if not kept[vid].visits]
+        fits = single_rider_plans(net, weights, state.requests[rid], kept, riderless)
+        fits.update(fit(group, [vid for vid in vids if kept[vid].visits]))
         if fits:
             plans[group] = fits
             level.append(group)
@@ -195,19 +185,13 @@ def build_rtv_graph(
                 shared = set(plans[subsets[0]])
                 for sub in subsets[1:]:
                     shared &= set(plans[sub])
-                fits = {}
-                for vid in sorted(shared):
-                    found = best_route(
-                        state.vehicles[vid], union, now, net, state.requests, weights
-                    )
-                    if found is not None:
-                        fits[vid] = found
+                fits = fit(union, sorted(shared))
                 if fits:
                     plans[union] = fits
                     grown.append(union)
         level = grown
 
-    return assemble_graph(state, vehicles_for, plans, kept)
+    return assemble_graph(state, list(reach), plans, kept)
 
 
 def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:

@@ -162,13 +162,16 @@ class RunResult:
     report: ObjectiveReport
     metrics: Metrics
     active_counts: list[int]
+    start_positions: dict[int, int]
 
 
 def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
     """Execute one full scenario: horizon batches plus the drain tail."""
     net = cfg.build_network()
     state = SystemState()
+    start_positions = {}
     for vehicle in build_fleet(cfg, net):
+        start_positions[vehicle.id] = vehicle.position
         state.add_vehicle(vehicle)
     requests = generate_demand(cfg, net)
     for request in requests:
@@ -229,7 +232,7 @@ def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
         driven=sum(v.odometer for v in state.vehicles.values()),
         wallclock_ms=wallclock_ms,
     )
-    return RunResult(cfg, state, events, total, metrics, active_counts)
+    return RunResult(cfg, state, events, total, metrics, active_counts, start_positions)
 
 
 @dataclass
@@ -460,12 +463,11 @@ def metrics_csv(rows: list[Metrics]) -> str:
 
 def event_log_lines(result: RunResult) -> list[str]:
     """JSON-lines event log; identity excludes wallclock noise."""
-    starts = build_fleet(result.config, result.config.build_network())
     header = {
         "seed": result.config.seed,
         "mode": result.config.engine.mode.value,
         "policy": result.config.engine.rejection_policy.value,
-        "vehicles": {str(v.id): v.position for v in starts},
+        "vehicles": {str(vid): node for vid, node in result.start_positions.items()},
         "requests": result.metrics.requests,
     }
     lines = [json.dumps({"header": header}, sort_keys=True, separators=(",", ":"))]

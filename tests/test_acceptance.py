@@ -209,7 +209,6 @@ def _random_rv_instance(rng: random.Random) -> RTVGraph:
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicles_for=vehicles_for,
         vehicle_bundles={
             vid: [bundle_of[rid] for rid in request_ids if vid in vehicles_for[rid]]
             for vid in vehicle_ids
@@ -282,7 +281,6 @@ def _random_rtv_instance(rng: random.Random) -> RTVGraph | None:
         vehicle_ids=vids,
         bundles=bundles,
         edges=edges,
-        vehicles_for={rid: vids for rid in rids},
         vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vids},

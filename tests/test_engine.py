@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from fleetsim import engine
+from fleetsim import engine, matching, pooling
 from fleetsim.engine import (
     EngineConfig,
     EngineError,
@@ -488,3 +488,41 @@ def test_kept_routes_keep_the_plan_a_fresh_install_would_build(monkeypatch, mode
         for _ in range(60):
             step(state, cfg, net)
     assert len(kept) > 50
+
+
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+def test_a_batch_schedules_only_the_plans_it_keeps_or_chooses(monkeypatch, mode):
+    # every schedule goes through matching's binding, counted here
+    assert "schedule_stops" not in vars(pooling)
+    calls = []
+    real_schedule = matching.schedule_stops
+
+    def counting_schedule(*args):
+        calls.append(args)
+        return real_schedule(*args)
+
+    build_name = "build_rv_graph" if mode is Mode.HAILING else "build_rtv_graph"
+    real_build = getattr(engine, build_name)
+
+    def build(*args, **kwargs):
+        calls.clear()
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "schedule_stops", counting_schedule)
+    monkeypatch.setattr(engine, build_name, build)
+    seen = {"held": 0, "chosen": 0}
+
+    def observe(ctx):
+        # kept plans of vehicles with riders on board, then chosen edges
+        held = sum(1 for vehicle in ctx.state.vehicles.values() if vehicle.onboard)
+        chosen = len(ctx.solution.chosen_bundles)
+        assert len(calls) == held + chosen
+        seen["held"] += held
+        seen["chosen"] += chosen
+
+    for reassignment in (Reassignment.ALLOWED, Reassignment.FROZEN):
+        for seed in (1, 2):
+            cfg, net, state = _scenario_state(mode, reassignment, 1, seed)
+            run_batches(state, cfg, net, 40, observe)
+    assert seen["held"] >= 200
+    assert seen["chosen"] >= 80

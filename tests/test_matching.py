@@ -43,18 +43,15 @@ def make_graph(request_ids, vehicle_ids, costs, prev=None):
     ]
     bundle_of = {min(b.members): b.id for b in bundles}
     edges = {}
-    vehicles_for = {rid: [] for rid in request_ids}
     vehicle_bundles = {vid: [] for vid in vehicle_ids}
     for (rid, vid), cost in sorted(costs.items(), key=lambda kv: (bundle_of[kv[0][0]], kv[0][1])):
         edges[(bundle_of[rid], vid)] = VBEdge(bundle_of[rid], vid, cost, _DUMMY_ROUTE)
-        vehicles_for[rid].append(vid)
         vehicle_bundles[vid].append(bundle_of[rid])
     return RTVGraph(
         request_ids=sorted(request_ids),
         vehicle_ids=sorted(vehicle_ids),
         bundles=bundles,
         edges=edges,
-        vehicles_for=vehicles_for,
         vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
@@ -66,6 +63,11 @@ def singleton_id(graph, request_id):
     """The id of a request's singleton bundle."""
     (bid,) = [b.id for b in graph.bundles if b.members == {request_id}]
     return bid
+
+
+def edge_vehicles(graph, request_id):
+    """The vehicles with an edge to a request's singleton bundle."""
+    return sorted(vid for (bid, vid) in graph.edges if graph.members(bid) == {request_id})
 
 
 def rv_edge(graph, request_id, vehicle_id):
@@ -269,13 +271,13 @@ def test_rv_graph_reach_boundary():
     # direct drive from the depot corner to (4, 1) takes exactly 5
     _add_request(state, 1, grid_node(5, 4, 1), grid_node(5, 0, 4), max_wait=5, net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
-    assert graph.vehicles_for[1] == [0]
+    assert edge_vehicles(graph, 1) == [0]
     assert (singleton_id(graph, 1), 0) in graph.edges
 
     net, state = _basic_state()
     _add_request(state, 1, grid_node(5, 4, 2), grid_node(5, 0, 4), max_wait=5, net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
-    assert graph.vehicles_for[1] == []
+    assert edge_vehicles(graph, 1) == []
     assert graph.edges == {}
 
 
@@ -309,8 +311,8 @@ def test_rv_graph_release_after_onboard_dropoff():
     # reachable: release 2 + travel 2 <= deadline 7
     _add_request(state, 2, grid_node(5, 4, 0), grid_node(5, 2, 0), max_wait=7, net=net)
     graph = build_rv_graph(state, net, 0, CostWeights())
-    assert graph.vehicles_for[1] == []
-    assert graph.vehicles_for[2] == [1]
+    assert edge_vehicles(graph, 1) == []
+    assert edge_vehicles(graph, 2) == [1]
 
     edge = rv_edge(graph, 2, 1)
     # candidate: drop rider at 2, pick at 4, drop at 6; baseline drive 2 ride 2
@@ -338,7 +340,7 @@ def test_rv_graph_pending_pickup_is_revocable():
     _add_request(state, 4, grid_node(5, 2, 1), grid_node(5, 4, 1), request_time=1, max_wait=2, net=net)
     graph = build_rv_graph(state, net, 1, CostWeights())
     # the new request is reachable because the pickup plan is revocable
-    assert graph.vehicles_for[4] == [0]
+    assert edge_vehicles(graph, 4) == [0]
     assert graph.prev_assigned == {3: 0, 4: None}
     # keeping the current assignment re-derives the committed plan, and its
     # edge is priced at the full remaining plan cost against an empty baseline
@@ -357,7 +359,7 @@ def test_rv_graph_mid_edge_release():
     assert (plan.end_node, plan.end_time) == (grid_node(5, 3, 0), 4)
     graph = build_rv_graph(state, net, 3, CostWeights())
     # pickup at 4 + 1 = 5, deadline 3 + 2 = 5
-    assert graph.vehicles_for[1] == [0]
+    assert edge_vehicles(graph, 1) == [0]
     assert rv_edge(graph, 1, 0).route.stops[0].planned_arrival == 5
 
 
@@ -367,7 +369,7 @@ def test_rv_graph_ride_bound_blocks_everything():
         state, 1, grid_node(5, 1, 0), grid_node(5, 4, 0), max_wait=9, max_ride=2, net=net
     )
     graph = build_rv_graph(state, net, 0, CostWeights())
-    assert graph.vehicles_for[1] == []
+    assert edge_vehicles(graph, 1) == []
     assert graph.edges == {}
 
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
+from fleetsim.engine import EngineConfig, Mode, Reassignment
 from fleetsim.matching import MatchingError, _vehicle_options, kept_plans
 from fleetsim.model import (
     CostWeights,
@@ -16,7 +18,9 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
+    plan_start,
     route_cost,
+    schedule_stops,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import (
@@ -28,6 +32,7 @@ from fleetsim.pooling import (
     divertable_vehicles,
     solve_pooling,
 )
+from fleetsim.scenario import ScenarioConfig, twin_run
 from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
@@ -43,6 +48,15 @@ def make_request(rid, origin, destination, request_time=0, max_wait=5, max_ride=
 # -- routing --------------------------------------------------------------------
 
 
+def planned(vehicle, members, now, net, requests, weights):
+    """`best_route`'s visits scheduled from the vehicle's plan start, and their cost."""
+    found = best_route(vehicle, members, now, net, requests, weights)
+    if found is None:
+        return None
+    visits, cost = found
+    return Route(schedule_stops(net, *plan_start(vehicle, now), visits)), cost
+
+
 def test_best_route_prefers_cheapest_then_lowest_sequence():
     net = Network.build_grid(5, 5)
     requests = {
@@ -50,7 +64,7 @@ def test_best_route_prefers_cheapest_then_lowest_sequence():
         2: make_request(2, grid_node(5, 2, 0), grid_node(5, 2, 2)),
     }
     vehicle = Vehicle(id=0, capacity=2, position=grid_node(5, 0, 0))
-    route, cost = best_route(vehicle, {1, 2}, 0, net, requests, _W)
+    route, cost = planned(vehicle, {1, 2}, 0, net, requests, _W)
     assert cost == 15
     # the shared-ride interleaving ties at 15; the sequential order wins
     # because dropping request 1 sorts before picking request 2
@@ -69,7 +83,7 @@ def test_best_route_capacity_changes_the_answer():
         2: make_request(2, grid_node(5, 2, 0), grid_node(5, 3, 0)),
     }
     roomy = Vehicle(id=0, capacity=2, position=grid_node(5, 0, 0))
-    route, cost = best_route(roomy, {1, 2}, 0, net, requests, _W)
+    route, cost = planned(roomy, {1, 2}, 0, net, requests, _W)
     assert cost == 11  # ride both at once
     assert [s.location for s in route.stops] == [
         grid_node(5, 1, 0),
@@ -78,7 +92,7 @@ def test_best_route_capacity_changes_the_answer():
         grid_node(5, 4, 0),
     ]
     cramped = Vehicle(id=0, capacity=1, position=grid_node(5, 0, 0))
-    route, cost = best_route(cramped, {1, 2}, 0, net, requests, _W)
+    route, cost = planned(cramped, {1, 2}, 0, net, requests, _W)
     assert cost == 19  # forced one after the other, second request first
 
 
@@ -92,7 +106,7 @@ def test_best_route_inserts_before_committed_dropoff():
         1: make_request(1, grid_node(5, 1, 0), grid_node(5, 2, 0), max_wait=3, max_ride=4),
     }
     vehicle = Vehicle(id=0, capacity=2, position=grid_node(5, 0, 0), onboard={9})
-    route, cost = best_route(vehicle, {1}, 0, net, requests, _W)
+    route, cost = planned(vehicle, {1}, 0, net, requests, _W)
     # detour first: pick at 1, drop at 2, then the promised dropoff at 4
     assert cost == 4 + 1 + (1 + 4)
     assert [s.location for s in route.stops] == [
@@ -199,7 +213,7 @@ def test_best_route_agrees_with_permutation_search():
                 max_ride=net.travel_time(origin, destination) + rng.randrange(0, 5),
             )
             members.add(rid)
-        got = best_route(vehicle, members, 0, net, requests, _W)
+        got = planned(vehicle, members, 0, net, requests, _W)
         want = brute_force_route(vehicle, members, 0, net, requests, _W)
         if want is None:
             assert got is None
@@ -242,11 +256,12 @@ def test_rtv_graph_sub_bundle_pruning_cuts_the_triple():
     assert [b.id for b in graph.bundles] == [0, 1, 2, 3, 4]
     singleton_a = graph.edge(0, 0)
     assert singleton_a.cost == 16  # drive 8 + ride 8 from the depot corner
+    reach = divertable_vehicles(state, net, kept_plans(state, net, 0, _W))
     for (bid, vid), edge in graph.edges.items():
         ok, reason = route_feasible(state.vehicles[vid], edge.route, 0, net, state.requests)
         assert ok, reason
         for rid in graph.members(bid):
-            assert vid in graph.vehicles_for[rid]
+            assert vid in reach[rid]
     assert [b.id for b in graph.bundles if 1 in b.members] == [0, 3, 4]
     assert [b.id for b in graph.bundles if 2 in b.members] == [1, 3]
 
@@ -299,6 +314,60 @@ def test_rtv_graph_matches_unpruned_subset_search():
         assert got == want
 
 
+class EdgePlanCheck:
+    """Observer: every edge of a batch is `best_route`'s plan and cost."""
+
+    def __init__(self, net, weights):
+        self.net = net
+        self.weights = weights
+        self.edges = Counter()
+
+    def __call__(self, ctx):
+        net, state, graph = self.net, ctx.state, ctx.graph
+        for (bid, vid), edge in graph.edges.items():
+            vehicle = state.vehicles[vid]
+            members = graph.members(bid)
+            found = planned(vehicle, members, ctx.now, net, state.requests, self.weights)
+            assert found is not None
+            route, cost = found
+            assert edge.cost + graph.baseline_cost[vid] == cost
+            assert edge.route == route
+            ok, reason = route_feasible(vehicle, edge.route, ctx.now, net, state.requests)
+            assert ok, reason
+            kind = "riders on board" if vehicle.onboard else "riderless"
+            self.edges[kind, len(members)] += 1
+        # and a singleton edge exists exactly where `best_route` finds a plan
+        reach = divertable_vehicles(state, net, kept_plans(state, net, ctx.now, self.weights))
+        for rid, vids in reach.items():
+            want = [
+                vid for vid in vids
+                if best_route(state.vehicles[vid], {rid}, ctx.now, net, state.requests, self.weights)
+            ]
+            assert sorted(vid for bid, vid in graph.edges if graph.members(bid) == {rid}) == want
+
+
+@pytest.mark.parametrize("reassignment", [Reassignment.ALLOWED, Reassignment.FROZEN])
+def test_rtv_edges_are_best_route_plans_on_short_runs(reassignment):
+    checks = []
+    for seed in (2000, 2001, 2002):
+        cfg = ScenarioConfig(
+            seed=seed, grid_width=10, grid_height=10, vehicle_count=6 + seed % 11,
+            vehicle_capacity=4, rate=0.5 + (seed % 11) / 10, max_wait_low=4, max_wait_high=7,
+            engine=EngineConfig(
+                mode=Mode.POOLING, horizon=30, max_bundle_size=3, reassignment=reassignment
+            ),
+        )
+        net = cfg.build_network()
+        pair = (EdgePlanCheck(net, cfg.engine.weights), EdgePlanCheck(net, cfg.engine.weights))
+        assert twin_run(cfg, observers=pair).equal
+        checks += pair
+    edges = sum((check.edges for check in checks), Counter())
+    # the arithmetic singletons, and searched plans with riders on board
+    assert edges["riderless", 1] >= 1000
+    assert edges["riders on board", 1] >= 500
+    assert edges["riders on board", 2] + edges["riderless", 2] >= 100
+
+
 def test_divertable_vehicles_boundary_and_commitment_blindness():
     net = Network.build_grid(5, 5)
     state = SystemState(now=2)
@@ -345,7 +414,6 @@ def synth_graph(bundle_members, edge_costs, prev=None, vehicle_ids=None, extra_r
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicles_for={rid: vehicle_ids for rid in request_ids},
         vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},

@@ -226,6 +226,24 @@ def test_event_logs_are_reproducible_and_ordered():
     assert batches == sorted(batches)
 
 
+def test_event_log_header_reads_the_runs_start_positions(monkeypatch):
+    cfg = small_cfg(seed=4, rate=1.0)
+    result = run_scenario(cfg)
+    fleet = build_fleet(cfg, cfg.build_network())
+    assert any(result.state.vehicles[v.id].position != v.position for v in fleet)
+    built = []
+    real_init = Network.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counting_init)
+    lines = event_log_lines(result)
+    assert built == []
+    assert json.loads(lines[0])["header"]["vehicles"] == {str(v.id): v.position for v in fleet}
+
+
 def test_metrics_csv_shape():
     result = run_scenario(small_cfg(seed=5, rate=0.5))
     text = metrics_csv([result.metrics])
