@@ -6,9 +6,10 @@ when all of its sub-bundles proved workable, and each carries the
 cheapest feasible visit sequence per candidate vehicle, scheduled only
 when its route is read. A vehicle with nobody on board serves a lone
 request as in single-rider mode, priced by `single_rider_plans`;
-`best_route` searches the rest. A branch and bound search then picks
-at most one bundle per vehicle, covering each request at most once,
-under the same lexicographic priorities as the single-rider mode.
+`best_route` searches the rest. An exact dynamic program over the
+vehicles then picks at most one bundle per vehicle, covering each
+request at most once, under the same lexicographic priorities as the
+single-rider mode, packed into one integer per choice as there.
 """
 
 from __future__ import annotations
@@ -202,142 +203,89 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     total incremental cost. Ties resolve by comparing the chosen
     bundle contents and vehicles, so runs with the same alternatives
     land on the same answer regardless of internal ordering.
+
+    Each allowed (bundle, vehicle) choice weighs one integer,
+    ((level·spread + cost) << E) − 2^(E−1−rank), for E choices ranked by
+    the tie key (sorted members, vehicle id), level = −(previously
+    assigned members)·(R+1) − (members) over R open requests, and
+    spread = 1 + Σ|cost|. Totals compare as (kept previous, covered,
+    cost) do, then by rank bits: optima cover equally many requests, so
+    none is a prefix of another, and the least sorted chain is the one
+    holding the least-ranked choice the two do not share. Distinct
+    solutions never tie.
+
+    A dynamic program over the vehicles with a bundle, fewest options
+    first, finds the least total. Its states map the taken requests a
+    later vehicle could still take to the least total reaching them.
+    Raises MatchingError when frozen commitments cannot all be kept at
+    once.
     """
     options = _vehicle_options(graph, frozen)
-    order = graph.vehicle_ids
     prev_set = frozenset(
         rid for rid, vid in graph.prev_assigned.items() if vid is not None
     )
-    # Flatten every allowed (bundle, vehicle) choice and sort by the
-    # canonical tie key. Walking assignments as increasing chains of
-    # these pairs visits complete solutions in exactly tie-key order,
-    # so the first solution seen at any score is the one the tie rule
-    # would pick, and an equal-bound subtree can be dropped whole
-    # instead of enumerated for key comparison.
-    pairs = sorted(
-        ((tuple(sorted(graph.members(bid))), vid), vid, bid)
-        for vid in order
-        for bid in options[vid]
+    bit = {rid: 1 << i for i, rid in enumerate(graph.request_ids)}
+    # per bundle: (tie key, requests as a bitmask, previously assigned, size)
+    about = {}
+    for bundle in graph.bundles:
+        members = bundle.members
+        about[bundle.id] = (
+            tuple(sorted(members)),
+            sum(bit[rid] for rid in members),
+            len(prev_set & members),
+            len(members),
+        )
+    ranked = sorted(
+        (about[bid][0], vid, bid)
+        for vid, allowed in options.items()
+        for bid in allowed
         if bid is not None
     )
-    choices = [
-        (
-            vid,
-            bid,
-            graph.edge(bid, vid).cost,
-            len(graph.members(bid) & prev_set),
-            graph.members(bid),
+    total = len(ranked)
+    edges = graph.edges
+    spread = 1 + sum(abs(edges[(bid, vid)].cost) for _, vid, bid in ranked)
+    scale = len(graph.request_ids) + 1
+    # per vehicle with a bundle: (requests as a bitmask, weight, bundle
+    # id) per option; a vehicle with none has nothing to decide
+    choices: dict[int, list[tuple[int, int, int | None]]] = {}
+    for rank, (_, vid, bid) in enumerate(ranked):
+        _, mask, prev_count, size = about[bid]
+        level = -prev_count * scale - size
+        weight = ((level * spread + edges[(bid, vid)].cost) << total) - (
+            1 << (total - 1 - rank)
         )
-        for _, vid, bid in pairs
-    ]
-    mandatory = frozenset(vid for vid in order if None not in options[vid])
+        choices.setdefault(vid, []).append((mask, weight, bid))
+    for vid, listed in choices.items():
+        if None in options[vid]:
+            listed.append((0, 0, None))
 
-    # Per suffix k of `choices`: the requests it still covers (and which
-    # of those were assigned before), each vehicle's largest bundle size
-    # in it and their total, and every request's cost share in it, the
-    # least cost // size over the suffix's bundles holding the request.
-    # A bundle costs at least the sum of its members' shares, floor
-    # division included, and one vehicle takes at most its largest
-    # bundle, so the shares and capacities bound any completion from k
-    # on. The shares of suffix k equal those of suffix share_from[k],
-    # the nearest one that lowered a share; they are ranked cheapest
-    # first only when a bound first needs them.
-    total = len(choices)
-    suffix_req: list[frozenset[int]] = [frozenset()] * (total + 1)
-    suffix_prev: list[frozenset[int]] = [frozenset()] * (total + 1)
-    suffix_caps: list[dict[int, int]] = [{}] * (total + 1)
-    suffix_cap = [0] * (total + 1)
-    share_from = [total] * (total + 1)
-    caps = dict.fromkeys(order, 0)
-    share: dict[int, int] = {}
-    tables: dict[int, dict[int, int]] = {}
-    for j in range(total - 1, -1, -1):
-        vid, _, cost, _, members = choices[j]
-        suffix_req[j] = suffix_req[j + 1] | members
-        suffix_prev[j] = suffix_req[j] & prev_set
-        suffix_cap[j] = suffix_cap[j + 1]
-        if len(members) > caps[vid]:
-            suffix_cap[j] += len(members) - caps[vid]
-            caps = {**caps, vid: len(members)}
-        suffix_caps[j] = caps
-        share_from[j] = share_from[j + 1]
-        each = cost // len(members)
-        for rid in members:
-            if rid not in share or each < share[rid]:
-                share[rid] = each
-                share_from[j] = j
-        if share_from[j] == j:
-            tables[j] = share.copy()
-    rankings: dict[int, list[tuple[int, int]]] = {}
-
-    def ranked_shares(k: int) -> list[tuple[int, int]]:
-        j = share_from[k]
-        ranked = rankings.get(j)
-        if ranked is None:
-            table = tables[j]
-            ranked = rankings[j] = sorted(zip(table.values(), table))
-        return ranked
-
-    def beaten(best, k, used_req, used_veh, p, n, c) -> bool:
-        """Whether `best` is at or below the floor on every completion
-        from choices[k:], compared one priority at a time."""
-        kept = -p - len(suffix_prev[k] - used_req)
-        if kept != best[0]:
-            return kept > best[0]
-        open_count = len(suffix_req[k] - used_req)
-        room = suffix_cap[k] - sum(map(suffix_caps[k].__getitem__, used_veh))
-        extra = min(open_count, room)
-        if -n - extra != best[1]:
-            return -n - extra > best[1]
-        low = c
-        for s, rid in ranked_shares(k):
-            if not extra:
-                break
-            if rid not in used_req:
-                low += s
-                extra -= 1
-        return low >= best[2]
-
-    incumbent: list = [None, None]  # score, chosen dict
-
-    def walk(
-        start: int,
-        used_req: frozenset[int],
-        used_veh: frozenset[int],
-        chosen: dict[int, int],
-        p: int,
-        n: int,
-        c: int,
-    ):
-        if mandatory <= used_veh:
-            value = (-p, -n, c)
-            if incumbent[0] is None or value < incumbent[0]:
-                incumbent[0] = value
-                incumbent[1] = dict(chosen)
-        for k in range(start, total):
-            vid, bid, cost, pm, members = choices[k]
-            if vid in used_veh or used_req & members:
-                continue
-            # the bound only grows as k advances, hence the break; the
-            # incumbent cannot change across the skipped conflicts
-            if incumbent[0] is not None and beaten(
-                incumbent[0], k, used_req, used_veh, p, n, c
-            ):
-                break
-            chosen[vid] = bid
-            walk(
-                k + 1,
-                used_req | members,
-                used_veh | {vid},
-                chosen,
-                p + pm,
-                n + len(members),
-                c + cost,
-            )
-            del chosen[vid]
-
-    walk(0, frozenset(), frozenset(), {}, 0, 0, 0)
-    if incumbent[1] is None:  # each commitment can be kept, but not all at once
+    order = sorted(choices, key=lambda vid: (len(choices[vid]), vid))
+    # later[i]: the requests some vehicle after order[i] could take
+    later = [0] * len(order)
+    for i in range(len(order) - 1, 0, -1):
+        later[i - 1] = later[i]
+        for mask, _, _ in choices[order[i]]:
+            later[i - 1] |= mask
+    # taken requests still contested -> (least total, chosen (vehicle,
+    # bundle) pairs as a linked list)
+    states: dict[int, tuple[int, tuple | None]] = {0: (0, None)}
+    for vid, contested in zip(order, later):
+        grown: dict[int, tuple[int, tuple | None]] = {}
+        for taken, (value, trail) in states.items():
+            for mask, weight, bid in choices[vid]:
+                if taken & mask:
+                    continue
+                key = (taken | mask) & contested
+                score = value + weight
+                held = grown.get(key)
+                if held is None or score < held[0]:
+                    grown[key] = (score, trail if bid is None else (vid, bid, trail))
+        states = grown
+    if not states:  # each commitment can be kept, but not all at once
         raise MatchingError("no joint choice of bundles keeps every frozen commitment")
-    return _solution_from(graph, incumbent[1])
-
+    ((_, trail),) = states.values()
+    chosen: dict[int, int] = {}
+    while trail is not None:
+        vid, bid, trail = trail
+        chosen[vid] = bid
+    return _solution_from(graph, chosen)

@@ -165,9 +165,13 @@ class RunResult:
     start_positions: dict[int, int]
 
 
-def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
-    """Execute one full scenario: horizon batches plus the drain tail."""
-    net = cfg.build_network()
+def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = None) -> RunResult:
+    """Execute one full scenario: horizon batches plus the drain tail.
+
+    `_net` is the network built from `cfg`, when the caller has it
+    already; `twin_run` shares one between its two runs.
+    """
+    net = cfg.build_network() if _net is None else _net
     state = SystemState()
     start_positions = {}
     for vehicle in build_fleet(cfg, net):
@@ -322,8 +326,10 @@ def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
     walk_cfg = replace(
         cfg, engine=replace(cfg.engine, rejection_policy=RejectionPolicy.WALK_AWAY)
     )
-    reject = run_scenario(reject_cfg, observers[0])
-    walkaway = run_scenario(walk_cfg, observers[1])
+    # the network is immutable and its lazy caches are pure, so the twins share it
+    net = cfg.build_network()
+    reject = run_scenario(reject_cfg, observers[0], _net=net)
+    walkaway = run_scenario(walk_cfg, observers[1], _net=net)
     a, b = TwinOutcome.of(reject), TwinOutcome.of(walkaway)
     return TwinReportEntry(
         seed=cfg.seed,

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetsim.engine import EngineConfig, Mode, Reassignment
 from fleetsim.matching import MatchingError, _vehicle_options, kept_plans
@@ -32,7 +34,7 @@ from fleetsim.pooling import (
     divertable_vehicles,
     solve_pooling,
 )
-from fleetsim.scenario import ScenarioConfig, twin_run
+from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
 from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
@@ -600,8 +602,8 @@ def test_oracle_frozen_filter_agrees_with_the_solvers_filter():
 
 def test_solver_finds_cheap_vehicles_listed_after_dear_ones():
     # request r may ride vehicle 2r at cost 2 or vehicle 2r + 1 at cost 1,
-    # so the tie-key order meets the dearest full cover first; without a
-    # per-request cost floor every equal-coverage subtree gets searched
+    # so the tie-key order lists the dearest full cover first, and 2^30
+    # full covers tie on coverage
     requests = range(30)
     edge_costs = {}
     for rid in requests:
@@ -667,8 +669,7 @@ def test_solver_matches_exhaustive_enumeration_when_vehicles_run_short():
             if not frozen:
                 short += want.assigned_count < len(coverable)
     assert checked >= 250
-    # the case the vehicle coverage cap is for: the optimum leaves a
-    # coverable request out
+    # the vehicles run short: the optimum leaves a coverable request out
     assert short >= 100
 
 
@@ -717,3 +718,93 @@ def test_solution_bookkeeping_fields():
     assert solution.total_cost == 5
     assert solution.unassigned == [5]
     assert solution.kept_previous == 1
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Singleton and multi-rider bundles over up to 8 requests and 4
+    vehicles, at most 20 edges, and commitments drawn freely."""
+    rids = list(range(1, draw(st.integers(1, 8)) + 1))
+    vids = list(range(draw(st.integers(1, 4))))
+    bundle = st.lists(st.sampled_from(rids), min_size=1, max_size=3, unique=True)
+    edge_costs = draw(
+        st.dictionaries(
+            st.tuples(bundle.map(lambda m: tuple(sorted(m))), st.sampled_from(vids)),
+            st.integers(-12, 25),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    prev = draw(st.dictionaries(st.sampled_from(rids), st.sampled_from(vids)))
+    groups = sorted({m for m, _ in edge_costs})
+    return synth_graph(groups, edge_costs, prev=prev, vehicle_ids=vids, extra_requests=rids)
+
+
+def _failure_class(exc: MatchingError) -> str:
+    return "joint" if "joint" in str(exc) else "vehicle"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(), st.booleans())
+def test_solver_matches_the_oracle_on_mixed_graphs(graph, frozen):
+    try:
+        want = exhaustive_pooling_oracle(graph, frozen=frozen)
+    except MatchingError as exc:
+        with pytest.raises(MatchingError) as raised:
+            solve_pooling(graph, frozen=frozen)
+        assert _failure_class(raised.value) == _failure_class(exc)
+        return
+    got = solve_pooling(graph, frozen=frozen)
+    assert got.pairs == want.pairs
+    assert got.chosen_bundles == want.chosen_bundles
+    assert got.value == want.value
+
+
+def test_tie_rule_holds_past_machine_word_size():
+    # request r rides any of vehicles 3r, 3r + 1, 3r + 2 at cost 5, and
+    # vehicle 3r also takes {r, r + 1} at cost 10 for four values of r:
+    # 124 choices, so rank bits reach far past 64. Every full cover costs
+    # 200, and the least sorted chain puts each request alone on its
+    # lowest vehicle.
+    edge_costs = {}
+    for rid in range(40):
+        for vid in range(3 * rid, 3 * rid + 3):
+            edge_costs[((rid,), vid)] = 5
+    for rid in (0, 10, 20, 30):
+        edge_costs[((rid, rid + 1), 3 * rid)] = 10
+    graph = synth_graph(sorted({m for m, _ in edge_costs}), edge_costs, prev={5: 17, 15: 47})
+    assert len(graph.edges) == 124
+    lowest = {rid: 3 * rid for rid in range(40)}
+    solution = solve_pooling(graph)
+    assert solution.pairs == lowest
+    assert solution.value == (2, 40, 200)
+    frozen = solve_pooling(graph, frozen=True)
+    assert frozen.pairs == {**lowest, 5: 17, 15: 47}
+    assert frozen.value == (2, 40, 200)
+
+
+def test_dense_pooling_batches_solve_in_bounded_time():
+    # 15x15 grid, 32 vehicles of capacity 4, bundles of 3: batch 11 has
+    # 14 requests (5 previously assigned), 18 bundles and 87 edges, all
+    # in one conflict component, and once took minutes to solve
+    cfg = ScenarioConfig(
+        seed=1,
+        grid_width=15,
+        grid_height=15,
+        vehicle_count=32,
+        vehicle_capacity=4,
+        rate=3.5,
+        engine=EngineConfig(horizon=50, mode=Mode.POOLING, max_bundle_size=3),
+    )
+    values = {}
+
+    def record(ctx):
+        values[ctx.batch] = ctx.solution.value
+
+    started = time.perf_counter()
+    result = run_scenario(cfg, record)
+    assert time.perf_counter() - started < 20
+    assert values[11] == (5, 14, 363)
+    assert values[12] == (12, 17, 377)
+    digest = hashlib.sha256("\n".join(event_log_lines(result)).encode()).hexdigest()
+    assert digest == "076611cf9d42d2d41dfe0e7f959a2387a3498bdfd84812c80714bfa3d50934d1"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -213,6 +214,28 @@ def test_twin_run_pooling_outcomes_match():
     )
     entry = twin_run(cfg)
     assert entry.equal, entry.first_divergence
+
+
+def test_twin_run_builds_one_network_for_both_runs(monkeypatch):
+    cfg = small_cfg(
+        seed=21, rate=1.0, vehicle_count=4, mode=Mode.POOLING,
+        max_bundle_size=3, vehicle_capacity=3,
+    )
+    alone = [
+        event_log_lines(run_scenario(replace(cfg, engine=replace(cfg.engine, rejection_policy=policy))))
+        for policy in (RejectionPolicy.EARLY_REJECT, RejectionPolicy.WALK_AWAY)
+    ]
+    built = []
+    real_init = Network.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "__init__", counting_init)
+    entry = twin_run(cfg)
+    assert built == [1]
+    assert [event_log_lines(entry.reject), event_log_lines(entry.walkaway)] == alone
 
 
 def test_event_logs_are_reproducible_and_ordered():
