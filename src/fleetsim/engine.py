@@ -5,10 +5,10 @@ problem for the configured mode is solved from scratch on the current
 state, the solution is written back as routes and status changes, the
 fleet advances one interval, and finally users whose patience ran out
 leave the system. The solution carries every vehicle's next route, so
-write-back installs routes and plans the moves along them but never
-decides what a vehicle keeps or schedules stops. Everything downstream
-of the solver is mechanical, so the step is deterministic given the
-state.
+write-back installs routes but never decides what a vehicle keeps or
+schedules stops, and the fleet drives each route along shortest paths.
+Everything downstream of the solver is mechanical, so the step is
+deterministic given the state.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .model import (
     LeaveReason,
     RequestStatus,
     Route,
-    Stop,
     SystemState,
-    Vehicle,
     plan_start,
     validate_state,
 )
@@ -116,19 +114,6 @@ class ObjectiveReport:
 
 
 @dataclass(frozen=True)
-class PlanMove:
-    source: int
-    target: int
-    depart: int
-    arrive: int
-
-
-@dataclass(frozen=True)
-class PlanStop:
-    stop: Stop
-
-
-@dataclass(frozen=True)
 class BatchContext:
     """Snapshot handed to observers after the solve, before write-back."""
 
@@ -168,34 +153,11 @@ def optimize(state: SystemState, cfg: EngineConfig, net: Network):
     return graph, solve_pooling(graph, frozen=frozen)
 
 
-def install_route(vehicle: Vehicle, route: Route | None, now: int, net: Network) -> None:
-    """Replace the vehicle's committed route and rebuild its motion plan."""
-    if route is None:
-        vehicle.route = None
-        vehicle.plan = []
-        return
-    node, time = plan_start(vehicle, now)
-    entries: list[object] = []
-    for stop in route.stops:
-        path = net.shortest_path(node, stop.location).node_sequence
-        for source, target in zip(path, path[1:]):
-            leg = net.travel_time(source, target)
-            entries.append(PlanMove(source, target, time, time + leg))
-            time += leg
-        if time != stop.planned_arrival:
-            raise EngineError(
-                f"vehicle {vehicle.id}: route promises arrival "
-                f"{stop.planned_arrival} at {stop.location} but the plan "
-                f"reaches it at {time}"
-            )
-        entries.append(PlanStop(stop))
-        node = stop.location
-    vehicle.route = route
-    vehicle.plan = entries
+def apply_assignment(state: SystemState, solution, cfg: EngineConfig) -> list[Event]:
+    """Write the solver's answer back: request statuses, every vehicle's route.
 
-
-def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Network) -> list[Event]:
-    """Write the solver's answer back: request statuses, every vehicle's route."""
+    A vehicle the solution gives no route to is left without one.
+    """
     batch, now = state.batch_index, state.now
     was_waiting = {
         rid: state.requests[rid].assigned_vehicle
@@ -232,53 +194,55 @@ def apply_assignment(state: SystemState, solution, cfg: EngineConfig, net: Netwo
             events.append(Event(batch, EventKind.REJECTED, rid, None, now))
 
     for vehicle in state.sorted_vehicles():
-        route = solution.routes.get(vehicle.id)
-        # An unchanged route keeps its plan: after `transition` the plan
-        # continues from (position, free_at), and each leg's shortest
-        # path depends only on its current node and target, so a rebuild
-        # would give the same entries.
-        if route != vehicle.route:
-            install_route(vehicle, route, now, net)
+        vehicle.route = solution.routes.get(vehicle.id)
     return events
 
 
 def transition(state: SystemState, cfg: EngineConfig, net: Network) -> list[Event]:
-    """Advance the fleet one interval, boarding and dropping along plans."""
+    """Advance the fleet one interval, boarding and dropping along routes.
+
+    Each vehicle drives from its plan start toward its next stop along
+    the shortest path, edge by edge, and serves every stop it reaches
+    by the batch boundary at the stop's planned arrival. The stops not
+    yet served stay its route.
+    """
     batch = state.batch_index
     t_end = state.now + cfg.batch_interval
     events = []
     for vehicle in state.sorted_vehicles():
-        cursor = 0
-        while cursor < len(vehicle.plan):
-            entry = vehicle.plan[cursor]
-            if isinstance(entry, PlanMove):
-                # an edge is entered strictly before the batch boundary and,
-                # once entered, binds the vehicle to its far end
-                if entry.depart >= t_end:
-                    break
-                vehicle.position = entry.target
-                vehicle.free_at = entry.arrive
-                vehicle.odometer += entry.arrive - entry.depart
-            else:
-                stop = entry.stop
-                if stop.planned_arrival > t_end:
-                    break
-                for rid in sorted(stop.dropoffs):
-                    state.requests[rid].complete(stop.planned_arrival)
-                    vehicle.onboard.discard(rid)
-                    events.append(
-                        Event(batch, EventKind.DROPPED_OFF, rid, vehicle.id, stop.planned_arrival)
-                    )
-                for rid in sorted(stop.pickups):
-                    state.requests[rid].board(stop.planned_arrival)
-                    vehicle.onboard.add(rid)
-                    events.append(
-                        Event(batch, EventKind.PICKED_UP, rid, vehicle.id, stop.planned_arrival)
-                    )
-            cursor += 1
-        vehicle.plan = vehicle.plan[cursor:]
-        left = tuple(e.stop for e in vehicle.plan if isinstance(e, PlanStop))
-        vehicle.route = Route(left) if left else None
+        stops = vehicle.remaining_stops()
+        node, time = plan_start(vehicle, state.now)
+        served = 0
+        for stop in stops:
+            if node != stop.location and time < t_end:
+                path = net.shortest_path(node, stop.location).node_sequence
+                for nxt in path[1:]:
+                    # an edge is entered strictly before the batch boundary and,
+                    # once entered, binds the vehicle to its far end
+                    leg = net.travel_time(node, nxt)
+                    node, time = nxt, time + leg
+                    vehicle.position, vehicle.free_at = node, time
+                    vehicle.odometer += leg
+                    if time >= t_end:
+                        break
+            if node != stop.location or time > t_end:
+                break
+            if time != stop.planned_arrival:
+                raise EngineError(
+                    f"vehicle {vehicle.id}: route promises arrival "
+                    f"{stop.planned_arrival} at {stop.location} but the drive "
+                    f"reaches it at {time}"
+                )
+            for rid in sorted(stop.dropoffs):
+                state.requests[rid].complete(time)
+                vehicle.onboard.discard(rid)
+                events.append(Event(batch, EventKind.DROPPED_OFF, rid, vehicle.id, time))
+            for rid in sorted(stop.pickups):
+                state.requests[rid].board(time)
+                vehicle.onboard.add(rid)
+                events.append(Event(batch, EventKind.PICKED_UP, rid, vehicle.id, time))
+            served += 1
+        vehicle.route = Route(stops[served:]) if served < len(stops) else None
     state.now = t_end
     return events
 
@@ -329,7 +293,7 @@ def step(state: SystemState, cfg: EngineConfig, net: Network, observer=None):
     graph, solution = optimize(state, cfg, net)
     if observer is not None:
         observer(BatchContext(batch, state.now, state, graph, solution))
-    events += apply_assignment(state, solution, cfg, net)
+    events += apply_assignment(state, solution, cfg)
     driven_before = sum(v.odometer for v in state.vehicles.values())
     events += transition(state, cfg, net)
     events += walkaway_sweep(state, cfg)

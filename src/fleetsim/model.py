@@ -1,8 +1,8 @@
 """Domain model: requests, vehicles, routes, and the simulation state.
 
 Requests move through an explicit status machine; vehicles carry a
-committed route plus a node-granular motion plan. All times and costs
-are integers, which keeps every comparison exact and every run
+committed route, the only record of where they go next. All times and
+costs are integers, which keeps every comparison exact and every run
 reproducible.
 """
 
@@ -244,8 +244,8 @@ class Vehicle:
 
     `position` is the node the vehicle is at, or is about to arrive at
     when an edge traversal is in progress; `free_at` is the time it is
-    (or will be) there. `plan` holds the node-granular motion plan for
-    the committed route and is engine-managed.
+    (or will be) there. `route` holds the stops still to serve; the
+    engine drives to each along the network's shortest path.
     """
 
     id: int
@@ -255,7 +255,6 @@ class Vehicle:
     onboard: set[int] = field(default_factory=set)
     route: Route | None = None
     odometer: int = 0
-    plan: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:

@@ -225,7 +225,7 @@ class Network:
                 raise NetworkError("path reconstruction failed")
             seq.append(nxt)
             cur = nxt
-        return PathResult(total, tuple(self._nodes[i] for i in seq))
+        return PathResult(total, tuple([self._nodes[i] for i in seq]))
 
     def diameter(self) -> int:
         """Largest pairwise travel time in the network."""

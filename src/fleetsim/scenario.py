@@ -283,7 +283,6 @@ class TwinReportEntry:
 @dataclass
 class TheoremReport:
     entries: list[TwinReportEntry] = field(default_factory=list)
-    wallclock_ms: int = 0
 
     @property
     def scenarios_run(self) -> int:

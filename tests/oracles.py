@@ -11,10 +11,14 @@ library's versions cannot pass unseen. `retained_route` and
 `candidate_route` schedule the routes hailing keeps and offers straight
 from `schedule_stops`, apart from the graph builder's own plan code.
 `late_assignments` reads an event log for requests accepted late.
+`expand_plan` and `replay_plans` move a fleet by the reference walker:
+each route expanded once into timed edges and stops, then replayed
+batch by batch, for comparison with the engine's `transition`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 from fleetsim.engine import Event, EventKind
@@ -23,6 +27,8 @@ from fleetsim.model import (
     Request,
     Route,
     RouteStructureError,
+    Stop,
+    SystemState,
     Vehicle,
     plan_start,
     schedule_stops,
@@ -135,6 +141,87 @@ def late_assignments(events: list[Event]) -> list[int]:
             if event.batch > revealed_batch[event.request]:
                 offenders.append(event.request)
     return offenders
+
+
+@dataclass(frozen=True)
+class PlanMove:
+    source: int
+    target: int
+    depart: int
+    arrive: int
+
+
+@dataclass(frozen=True)
+class PlanStop:
+    stop: Stop
+
+
+def expand_plan(vehicle: Vehicle, now: int, net: Network) -> list:
+    """The vehicle's route as a timed motion plan, expanded once.
+
+    Every edge of every leg's shortest path becomes a PlanMove from
+    `plan_start(vehicle, now)` on, and each stop a PlanStop after the
+    move that reaches it. Raises AssertionError if a stop's planned
+    arrival differs from the time the moves reach it.
+    """
+    node, time = plan_start(vehicle, now)
+    entries: list = []
+    for stop in vehicle.remaining_stops():
+        path = net.shortest_path(node, stop.location).node_sequence
+        for source, target in zip(path, path[1:]):
+            leg = net.travel_time(source, target)
+            entries.append(PlanMove(source, target, time, time + leg))
+            time += leg
+        assert time == stop.planned_arrival, (vehicle.id, stop, time)
+        entries.append(PlanStop(stop))
+        node = stop.location
+    return entries
+
+
+def replay_plans(state: SystemState, plans: dict[int, list], interval: int) -> list[Event]:
+    """Advance the fleet one interval by replaying expanded plans.
+
+    A move is made if it departs before the batch boundary; a stop is
+    served if the walk reaches it and its planned arrival is not past
+    the boundary. Each vehicle's plan in `plans` is cut to what is left,
+    and its route is rebuilt from the stops that plan still holds.
+    """
+    batch = state.batch_index
+    t_end = state.now + interval
+    events = []
+    for vehicle in state.sorted_vehicles():
+        plan = plans[vehicle.id]
+        cursor = 0
+        while cursor < len(plan):
+            entry = plan[cursor]
+            if isinstance(entry, PlanMove):
+                if entry.depart >= t_end:
+                    break
+                vehicle.position = entry.target
+                vehicle.free_at = entry.arrive
+                vehicle.odometer += entry.arrive - entry.depart
+            else:
+                stop = entry.stop
+                if stop.planned_arrival > t_end:
+                    break
+                for rid in sorted(stop.dropoffs):
+                    state.requests[rid].complete(stop.planned_arrival)
+                    vehicle.onboard.discard(rid)
+                    events.append(
+                        Event(batch, EventKind.DROPPED_OFF, rid, vehicle.id, stop.planned_arrival)
+                    )
+                for rid in sorted(stop.pickups):
+                    state.requests[rid].board(stop.planned_arrival)
+                    vehicle.onboard.add(rid)
+                    events.append(
+                        Event(batch, EventKind.PICKED_UP, rid, vehicle.id, stop.planned_arrival)
+                    )
+            cursor += 1
+        plans[vehicle.id] = plan[cursor:]
+        left = tuple(e.stop for e in plans[vehicle.id] if isinstance(e, PlanStop))
+        vehicle.route = Route(left) if left else None
+    state.now = t_end
+    return events
 
 
 def priority_matching_oracle(

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetsim import engine, matching, pooling
 from fleetsim.engine import (
@@ -18,9 +20,9 @@ from fleetsim.engine import (
     RejectionPolicy,
     accumulate_objective,
     apply_assignment,
-    install_route,
     reveal_requests,
     step,
+    transition,
     walkaway_sweep,
 )
 from fleetsim.matching import AssignmentSolution
@@ -32,12 +34,13 @@ from fleetsim.model import (
     Stop,
     SystemState,
     Vehicle,
+    plan_start,
     schedule_stops,
     validate_state,
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.scenario import ScenarioConfig, build_fleet, generate_demand
-from oracles import retained_route
+from oracles import expand_plan, replay_plans, retained_route
 
 
 def fresh_request(rid, origin, destination, request_time=0, max_wait=5, max_ride=20):
@@ -133,7 +136,6 @@ def test_no_availability_under_both_policies():
 
 
 def test_apply_assignment_unassigns_and_strips_routes():
-    net = Network.build_grid(5, 5)
     state = SystemState()
     vehicle = Vehicle(id=0, capacity=1, position=grid_node(5, 0, 0))
     state.add_vehicle(vehicle)
@@ -151,14 +153,13 @@ def test_apply_assignment_unassigns_and_strips_routes():
         pairs={}, routes={}, kept_previous=0, assigned_count=0,
         total_cost=0, unassigned=[1], dropped_previous=[1],
     )
-    events = apply_assignment(state, empty, EngineConfig(), net)
+    events = apply_assignment(state, empty, EngineConfig())
     assert events == [Event(0, EventKind.UNASSIGNED, 1, 0, 0)]
     assert request.status is RequestStatus.NOT_ASSIGNED
-    assert vehicle.route is None and vehicle.plan == []
+    assert vehicle.route is None
 
 
 def test_apply_assignment_reassignment_event():
-    net = Network.build_grid(5, 5)
     state = SystemState()
     state.add_vehicle(Vehicle(id=0, capacity=1, position=grid_node(5, 0, 0)))
     state.add_vehicle(Vehicle(id=1, capacity=1, position=grid_node(5, 0, 1)))
@@ -176,16 +177,16 @@ def test_apply_assignment_reassignment_event():
         pairs={1: 1}, routes={1: moved}, kept_previous=1, assigned_count=1,
         total_cost=0, unassigned=[], dropped_previous=[],
     )
-    events = apply_assignment(state, solution, EngineConfig(), net)
+    events = apply_assignment(state, solution, EngineConfig())
     assert events == [Event(0, EventKind.REASSIGNED, 1, 1, 0)]
     assert request.assigned_vehicle == 1
     assert state.vehicles[1].route == moved
     assert state.vehicles[0].route is None
 
 
-def test_apply_assignment_replans_a_route_that_reorders_the_same_requests():
+def test_a_reordered_route_boards_its_riders_in_the_new_order():
     # the new route serves the same riders at the same nodes, with the
-    # two pickups swapped, so the old motion plan must not be kept
+    # two pickups swapped; the vehicle must drive the new order
     net = Network.build_grid(5, 5)
     state = SystemState()
     vehicle = Vehicle(id=0, capacity=2, position=grid_node(5, 0, 0))
@@ -206,19 +207,51 @@ def test_apply_assignment_replans_a_route_that_reorders_the_same_requests():
         ]
         return Route(schedule_stops(net, vehicle.position, 0, visits))
 
-    install_route(vehicle, route(a, b), 0, net)
-    old_plan = vehicle.plan
+    vehicle.route = route(a, b)
     swapped = route(b, a)
     solution = AssignmentSolution(
         pairs={1: 0, 2: 0}, routes={0: swapped}, kept_previous=2, assigned_count=2,
         total_cost=0,
     )
-    assert apply_assignment(state, solution, EngineConfig(), net) == []
-    fresh = Vehicle(id=0, capacity=2, position=vehicle.position)
-    install_route(fresh, swapped, 0, net)
+    cfg = EngineConfig()
+    assert apply_assignment(state, solution, cfg) == []
     assert vehicle.route == swapped
-    assert vehicle.plan == fresh.plan
-    assert vehicle.plan is not old_plan
+    events = []
+    while vehicle.route is not None:
+        events += transition(state, cfg, net)
+        state.batch_index += 1
+    first, second, drop_a, drop_b = (stop.planned_arrival for stop in swapped.stops)
+    assert [(e.kind, e.request, e.time) for e in events] == [
+        (EventKind.PICKED_UP, 2, first),
+        (EventKind.PICKED_UP, 1, second),
+        (EventKind.DROPPED_OFF, 1, drop_a),
+        (EventKind.DROPPED_OFF, 2, drop_b),
+    ]
+    assert first < second
+    assert vehicle.odometer == drop_b
+
+
+def test_step_raises_on_a_route_whose_planned_arrival_the_drive_misses(monkeypatch):
+    # the stop is installed and served inside one step, before
+    # validate_state could see the route
+    net = Network.build_grid(5, 5)
+    state = SystemState()
+    state.add_vehicle(Vehicle(id=0, capacity=1, position=grid_node(5, 0, 0)))
+    request = fresh_request(1, grid_node(5, 1, 0), grid_node(5, 4, 0))
+    state.add_request(request)
+    # the drive reaches the pickup at 1, the route promises 2
+    late = Route(
+        (
+            Stop(grid_node(5, 1, 0), frozenset({1}), frozenset(), 2),
+            Stop(grid_node(5, 4, 0), frozenset(), frozenset({1}), 5),
+        )
+    )
+    solution = AssignmentSolution(
+        pairs={1: 0}, routes={0: late}, kept_previous=0, assigned_count=1, total_cost=0,
+    )
+    monkeypatch.setattr(engine, "optimize", lambda state, cfg, net: (None, solution))
+    with pytest.raises(EngineError, match="route promises arrival 2 at 1"):
+        step(state, EngineConfig(batch_interval=3), net)
 
 
 def test_walkaway_sweep_guard_under_early_reject():
@@ -454,40 +487,126 @@ def test_reveal_queue_matches_a_brute_force_scan(mode, batch_interval):
     assert never >= 10
 
 
-@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
-def test_kept_routes_keep_the_plan_a_fresh_install_would_build(monkeypatch, mode):
-    # apply_assignment re-plans only changed routes; a kept plan must be
-    # exactly what install_route would build from the vehicle's state now
-    kept = []
+def _motion(state):
+    return {
+        vid: (v.position, v.free_at, v.odometer, v.route, frozenset(v.onboard))
+        for vid, v in state.vehicles.items()
+    }
 
-    def checked_apply(state, solution, cfg, net):
-        before = {vid: v.plan for vid, v in state.vehicles.items()}
-        wanted = {
-            vid: solution.routes[vid] if vid in solution.routes
-            else retained_route(v, state.now, net)
-            for vid, v in state.vehicles.items()
-        }
-        events = original_apply(state, solution, cfg, net)
-        for vid, vehicle in state.vehicles.items():
-            assert vehicle.route == wanted[vid]
-            if vehicle.plan is not before[vid] or vehicle.route is None:
-                continue
-            fresh = Vehicle(
-                id=vid, capacity=vehicle.capacity, position=vehicle.position,
-                free_at=vehicle.free_at, onboard=set(vehicle.onboard),
-            )
-            install_route(fresh, vehicle.route, state.now, net)
-            assert fresh.plan == vehicle.plan
-            kept.append(vid)
+
+@st.composite
+def moving_fleets(draw):
+    """A strongly connected digraph with edge times 1-4, and vehicles on
+    routes scheduled from their plan starts, some part way along an edge."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    times = st.integers(1, 4)
+    edges = [(order[i], order[(i + 1) % n], draw(times)) for i in range(n)]
+    nodes = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
+        edges.append((u, v, draw(times)))
+    net = Network(edges)
+    now = draw(st.integers(0, 6))
+    state = SystemState(now=now)
+
+    def rider(vid):
+        origin, destination = draw(st.lists(nodes, min_size=2, max_size=2, unique=True))
+        request = fresh_request(len(state.requests), origin, destination, max_ride=1000)
+        state.add_request(request)
+        request.reveal()
+        request.assign(vid)
+        return request
+
+    for vid in range(draw(st.integers(1, 3))):
+        vehicle = Vehicle(
+            id=vid, capacity=6, position=draw(nodes), free_at=draw(st.integers(0, now + 3))
+        )
+        visits = []
+        for _ in range(draw(st.integers(0, 2))):
+            request = rider(vid)
+            request.board(0)
+            vehicle.onboard.add(request.id)
+            at = draw(st.integers(0, len(visits)))
+            visits.insert(at, (request.destination, (), (request.id,)))
+        for _ in range(draw(st.integers(0, 2))):
+            request = rider(vid)
+            i = draw(st.integers(0, len(visits)))
+            visits.insert(i, (request.origin, (request.id,), ()))
+            j = draw(st.integers(i + 1, len(visits)))
+            visits.insert(j, (request.destination, (), (request.id,)))
+        if visits:
+            vehicle.route = Route(schedule_stops(net, *plan_start(vehicle, now), visits))
+        state.add_vehicle(vehicle)
+    return net, state, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moving_fleets())
+def test_transition_agrees_with_the_reference_walker(case):
+    # the walker expands each route once and replays it; transition
+    # re-derives the current leg from where the vehicle is, every batch
+    net, state, interval = case
+    cfg = EngineConfig(batch_interval=interval)
+    reference = copy.deepcopy(state)
+    plans = {vid: expand_plan(v, reference.now, net) for vid, v in reference.vehicles.items()}
+    for _ in range(200):
+        if all(v.route is None for v in state.vehicles.values()):
+            break
+        assert transition(state, cfg, net) == replay_plans(reference, plans, interval)
+        assert _motion(state) == _motion(reference)
+        assert state.now == reference.now
+        state.batch_index += 1
+        reference.batch_index += 1
+    assert all(v.route is None and not v.onboard for v in state.vehicles.values())
+
+
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+@pytest.mark.parametrize("batch_interval", [1, 2])
+def test_runs_move_vehicles_as_the_reference_walker_does(monkeypatch, mode, batch_interval):
+    # the walker keeps each vehicle's expanded plan for as long as the
+    # solve hands back the same route, and re-expands a changed one
+    kept = {}
+    checked = []
+    wanted = {}
+    real_transition = engine.transition
+
+    def observe(ctx):
+        # the solved route, or for a vehicle the solution leaves out the
+        # one that drops its riders off: None for an empty vehicle
+        wanted.clear()
+        wanted.update(
+            (vid, ctx.solution.routes[vid] if vid in ctx.solution.routes
+             else retained_route(vehicle, ctx.now, net))
+            for vid, vehicle in ctx.state.vehicles.items()
+        )
+
+    def checked_transition(state, cfg, net):
+        assert {vid: v.route for vid, v in state.vehicles.items()} == wanted
+        reference = copy.deepcopy(state)
+        plans = {}
+        for vid, vehicle in reference.vehicles.items():
+            route, plan = kept.get(vid, (None, []))
+            if vehicle.route != route:
+                plan = expand_plan(vehicle, reference.now, net)
+            plans[vid] = plan
+        expected = replay_plans(reference, plans, cfg.batch_interval)
+        events = real_transition(state, cfg, net)
+        assert events == expected
+        assert _motion(state) == _motion(reference)
+        for vid, vehicle in reference.vehicles.items():
+            kept[vid] = (vehicle.route, plans[vid])
+        checked.append(len(events))
         return events
 
-    original_apply = engine.apply_assignment
-    monkeypatch.setattr(engine, "apply_assignment", checked_apply)
+    monkeypatch.setattr(engine, "transition", checked_transition)
     for seed in (1, 2):
-        cfg, net, state = _scenario_state(mode, Reassignment.ALLOWED, 1, seed)
+        kept.clear()
+        cfg, net, state = _scenario_state(mode, Reassignment.ALLOWED, batch_interval, seed)
         for _ in range(60):
-            step(state, cfg, net)
-    assert len(kept) > 50
+            step(state, cfg, net, observe)
+    assert len(checked) == 120
+    assert sum(checked) > 40
 
 
 @pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
