@@ -177,7 +177,7 @@ def reachable_vehicles(
     requests = state.active_requests()
     out: dict[int, list[int]] = {request.id: [] for request in requests}
     if not requests:
-        return out  # no row to read, and off the table a row costs a Dijkstra
+        return out  # no row to read, and a row's first read costs a Dijkstra
     origins = [request.origin for request in requests]
     deadlines = [(out[request.id], request.latest_pickup) for request in requests]
     for vid, (node, time) in sorted(starts.items()):

@@ -2,19 +2,16 @@
 
 The network is a directed graph with strictly positive integer edge
 times. It is immutable after construction: all query methods are pure
-and safe to call from anywhere. Small networks precompute the full
-travel-time table at load; larger ones fall back to memoized
-single-source Dijkstra.
+and safe to call from anywhere. Distances live in one store for every
+size: a node's row (its times to every node) and its column (every
+node's time to it) are each filled by one Dijkstra run the first time a
+query needs them, and kept.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-
-# Above this node count the n*n table would dominate memory, so queries
-# fall back to on-demand Dijkstra with per-source memoization.
-_ALL_PAIRS_LIMIT = 1024
 
 _INF = None  # sentinel for "unreached" inside Dijkstra scans
 
@@ -87,13 +84,10 @@ class Network:
             for row in rows:
                 row.sort()
         self._edge_count = len(cheapest)
+        # rows[i][j] and cols[j][i] both hold the time from node i to node j
+        self._rows: list[list[int] | None] = [None] * n
+        self._cols: list[list[int] | None] = [None] * n
         self._check_strongly_connected()
-
-        self._table: list[list[int]] | None = None
-        self._source_cache: dict[int, list[int]] = {}
-        self._target_cache: dict[int, list[int]] = {}
-        if n <= _ALL_PAIRS_LIMIT:
-            self._table = [self._dijkstra(self._adj, i) for i in range(n)]
 
     # -- construction helpers -------------------------------------------------
 
@@ -176,17 +170,13 @@ class Network:
             self._require(origin)
             self._require(destination)
             raise
-        if self._table is not None:
-            return self._table[a][b]
-        if a == b:
-            return 0
-        return self._dist_from(a)[b]
+        return (self._rows[a] or self._dist_from(a))[b]
 
     def travel_times(self, origin: int, destinations) -> list[int]:
         """Shortest travel times from one origin to each destination, in order.
 
-        Reads the origin's row once, from the all-pairs table or the
-        memoized Dijkstra, so it costs one lookup per destination.
+        Reads the origin's row once, so past the row's first Dijkstra it
+        costs one lookup per destination.
         """
         index = self._index
         try:
@@ -229,13 +219,8 @@ class Network:
 
     def diameter(self) -> int:
         """Largest pairwise travel time in the network."""
-        best = 0
-        for i in range(len(self._nodes)):
-            dist = self._dist_from(i)
-            for d in dist:
-                if d is not _INF and d > best:
-                    best = d
-        return best
+        # strong connectivity leaves no row holding _INF
+        return max(max(self._dist_from(i)) for i in range(len(self._nodes)))
 
     # -- internals ------------------------------------------------------------
 
@@ -262,43 +247,22 @@ class Network:
         return dist
 
     def _dist_from(self, source_idx: int) -> list[int]:
-        if self._table is not None:
-            return self._table[source_idx]
-        row = self._source_cache.get(source_idx)
+        row = self._rows[source_idx]
         if row is None:
-            row = self._dijkstra(self._adj, source_idx)
-            self._source_cache[source_idx] = row
+            row = self._rows[source_idx] = self._dijkstra(self._adj, source_idx)
         return row
 
     def _dist_to(self, target_idx: int) -> list[int]:
-        if self._table is not None:
-            col = self._target_cache.get(target_idx)
-            if col is None:
-                col = [row[target_idx] for row in self._table]
-                self._target_cache[target_idx] = col
-            return col
-        col = self._target_cache.get(target_idx)
+        col = self._cols[target_idx]
         if col is None:
-            col = self._dijkstra(self._radj, target_idx)
-            self._target_cache[target_idx] = col
+            col = self._cols[target_idx] = self._dijkstra(self._radj, target_idx)
         return col
 
     def _check_strongly_connected(self) -> None:
-        n = len(self._nodes)
-        for adj, label in ((self._adj, "forward"), (self._radj, "backward")):
-            seen = [False] * n
-            seen[0] = True
-            stack = [0]
-            count = 1
-            while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        count += 1
-                        stack.append(v)
-            if count != n:
-                missing = self._nodes[seen.index(False)]
+        # node 0's row says whom it reaches, its column who reaches it
+        for dist, label in ((self._dist_from(0), "forward"), (self._dist_to(0), "backward")):
+            if _INF in dist:
+                missing = self._nodes[dist.index(_INF)]
                 raise NetworkError(
                     f"network is not strongly connected ({label} sweep "
                     f"cannot reach node {missing})"

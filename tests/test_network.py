@@ -7,6 +7,7 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fleetsim.network import Network, NetworkError, PathResult, UnknownNodeError, grid_node
 
@@ -87,17 +88,17 @@ def grid_edges(width, height, edge_time=1):
     return edges
 
 
-def random_strong_network(rng, n_nodes, extra_edges):
+def random_strong_network(rng, n_nodes, extra_edges, max_time=9):
     """Random strongly connected weighted digraph: a cycle plus chords."""
     nodes = list(range(n_nodes))
     rng.shuffle(nodes)
     edges = []
     for i, u in enumerate(nodes):
         v = nodes[(i + 1) % n_nodes]
-        edges.append((u, v, rng.randint(1, 9)))
+        edges.append((u, v, rng.randint(1, max_time)))
     for _ in range(extra_edges):
         u, v = rng.sample(range(n_nodes), 2)
-        edges.append((u, v, rng.randint(1, 9)))
+        edges.append((u, v, rng.randint(1, max_time)))
     return edges
 
 
@@ -129,13 +130,13 @@ def test_rejects_zero_time_edge():
 
 
 def test_rejects_disconnected():
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError, match="forward sweep cannot reach node 2"):
         Network([(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 2, 1)])
 
 
 def test_rejects_one_way_component():
     # 2 is reachable but cannot get back
-    with pytest.raises(NetworkError):
+    with pytest.raises(NetworkError, match="backward sweep cannot reach node 2"):
         Network([(0, 1, 1), (1, 0, 1), (0, 2, 1)])
 
 
@@ -200,9 +201,9 @@ def test_travel_time_matches_bellman_ford_on_random_networks():
         assert net.travel_times(source, targets) == [oracle[t] for t in targets]
 
 
-def test_travel_times_above_the_table_limit_read_lazy_rows():
-    # 40 x 26 = 1040 nodes is past the all-pairs table, so rows come
-    # from memoized single-source Dijkstra
+def test_travel_times_read_lazy_rows_on_a_large_grid():
+    # on 40 x 26 = 1040 nodes each source's row comes from one
+    # single-source Dijkstra, run the first time the row is read
     edges = grid_edges(40, 26)
     net = Network(edges)
     rng = random.Random(26)
@@ -277,3 +278,60 @@ def test_shortest_path_deterministic_across_instances():
     for pair in [(0, 63), (7, 56), (12, 50)]:
         assert a.shortest_path(*pair) == b.shortest_path(*pair)
 
+
+
+# -- the lazy store ------------------------------------------------------------
+
+
+@st.composite
+def query_orders(draw):
+    """A random strong network, a list of queries, and a second order of them."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 30))
+    edges = random_strong_network(rng, n, draw(st.integers(0, 2 * n)), max_time=4)
+    node = st.integers(0, n - 1)
+    query = st.one_of(
+        st.tuples(st.just("travel_time"), node, node),
+        st.tuples(st.just("travel_times"), node, st.lists(node, max_size=6)),
+        st.tuples(st.just("shortest_path"), node, node),
+        st.tuples(st.just("diameter")),
+    )
+    queries = draw(st.lists(query, min_size=1, max_size=25))
+    return edges, queries, draw(st.permutations(range(len(queries))))
+
+
+def _ask(net, query):
+    name, *args = query
+    return getattr(net, name)(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(query_orders())
+def test_answers_do_not_depend_on_the_order_of_first_use(case):
+    # each row and column is filled by whichever query needs it first
+    edges, queries, order = case
+    first, second = Network(edges), Network(edges)
+    answers = [_ask(first, query) for query in queries]
+    reordered = {i: _ask(second, queries[i]) for i in order}
+    assert answers == [reordered[i] for i in range(len(queries))]
+    oracle = {u: bellman_ford_times(edges, u) for u in first.nodes}
+    cheapest = {}
+    for u, v, t in edges:
+        cheapest[(u, v)] = min(t, cheapest.get((u, v), t))
+    for (name, *args), got in zip(queries, answers):
+        if name == "travel_time":
+            a, b = args
+            assert got == oracle[a][b]
+        elif name == "travel_times":
+            a, targets = args
+            assert got == [oracle[a][b] for b in targets]
+        elif name == "shortest_path":
+            a, b = args
+            seq = got.node_sequence
+            assert got.total_time == oracle[a][b]
+            assert (seq[0], seq[-1]) == (a, b)
+            assert sum(cheapest[leg] for leg in zip(seq, seq[1:])) == got.total_time
+            if first.node_count <= 8:
+                assert seq == min(all_min_paths(edges, a, b))
+        else:
+            assert got == max(max(dist.values()) for dist in oracle.values())

@@ -36,6 +36,7 @@ from fleetsim.pooling import (
 )
 from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
 from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
+from test_pinned_logs import _directed_grid
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 _W = CostWeights(1, 1, 1)
@@ -808,3 +809,48 @@ def test_dense_pooling_batches_solve_in_bounded_time():
     assert values[12] == (12, 17, 377)
     digest = hashlib.sha256("\n".join(event_log_lines(result)).encode()).hexdigest()
     assert digest == "076611cf9d42d2d41dfe0e7f959a2387a3498bdfd84812c80714bfa3d50934d1"
+
+
+class ReachCheck:
+    """Observer: each open request's `divertable_vehicles` set never grows."""
+
+    def __init__(self, net, weights):
+        self.net = net
+        self.weights = weights
+        self.last = {}
+        self.checks = 0
+
+    def __call__(self, ctx):
+        kept = kept_plans(ctx.state, self.net, ctx.now, self.weights)
+        reach = {rid: set(vids) for rid, vids in divertable_vehicles(ctx.state, self.net, kept).items()}
+        for rid, vids in reach.items():
+            if rid in self.last:  # else revealed this batch
+                assert vids <= self.last[rid], (ctx.now, rid, vids - self.last[rid])
+                self.checks += 1
+        self.last = reach
+
+
+@pytest.mark.parametrize("reassignment", [Reassignment.ALLOWED, Reassignment.FROZEN])
+@pytest.mark.parametrize("network", ["grid", "directed"])
+def test_divertable_sets_only_shrink_on_short_runs(network, reassignment, tmp_path):
+    # criterion 7 off the gate, for pooling: batch intervals 1-3, and a
+    # directed grid whose two directions differ (times 1-4)
+    edge_list = None
+    if network == "directed":
+        edge_list = _directed_grid(tmp_path / "directed.txt", 8, 8, seed=11)
+    checks = 0
+    for seed, interval in itertools.product(range(2000, 2005), (1, 2, 3)):
+        cfg = ScenarioConfig(
+            seed=seed, grid_width=10, grid_height=10, edge_list_path=edge_list,
+            vehicle_count=6 + seed % 11, vehicle_capacity=4, rate=0.5 + (seed % 11) / 10,
+            max_wait_low=4, max_wait_high=7,
+            engine=EngineConfig(
+                mode=Mode.POOLING, horizon=30, max_bundle_size=3,
+                reassignment=reassignment, batch_interval=interval,
+            ),
+        )
+        net = cfg.build_network()
+        pair = (ReachCheck(net, cfg.engine.weights), ReachCheck(net, cfg.engine.weights))
+        twin_run(cfg, observers=pair)
+        checks += sum(check.checks for check in pair)
+    assert checks >= 800
