@@ -75,27 +75,13 @@ def _load_config(args) -> ScenarioConfig:
     return replace(cfg, engine=engine)
 
 
-class _GraphTrace:
-    """Collects one row of problem-size stats per batch."""
-
-    def __init__(self) -> None:
-        self.rows: list[dict] = []
-
-    def __call__(self, ctx) -> None:
-        self.rows.append(
-            {
-                "batch": ctx.batch,
-                "active_requests": len(ctx.graph.request_ids),
-                "edges": len(ctx.graph.edges),
-                "assigned": len(ctx.solution.pairs),
-            }
-        )
-
-
-def _write_graph_trace(out_dir, label: str, trace: _GraphTrace) -> None:
+def _write_graph_rows(out_dir, result) -> None:
+    """One JSON line per batch of `result`: its assignment problem's size."""
+    engine = result.config.engine
+    label = f"{result.config.seed}_{engine.mode.value}_{engine.rejection_policy.value}"
     path = os.path.join(out_dir, f"graphs_{label}.jsonl")
     with open(path, "w", encoding="utf-8") as fh:
-        for row in trace.rows:
+        for row in result.batches:
             fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -108,15 +94,12 @@ def _metrics_line(metrics) -> str:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    trace = _GraphTrace() if args.dump_graphs else None
-    result = run_scenario(cfg, trace)
+    result = run_scenario(_load_config(args))
     print(_metrics_line(result.metrics))
     if args.out:
         emit_metrics([result], None, args.out)
-        if trace is not None:
-            label = f"{cfg.seed}_{cfg.engine.mode.value}_{cfg.engine.rejection_policy.value}"
-            _write_graph_trace(args.out, label, trace)
+        if args.dump_graphs:
+            _write_graph_rows(args.out, result)
     return 0
 
 
@@ -124,23 +107,17 @@ def _run_twins(args, seeds) -> int:
     base = _load_config(args)
     report = TheoremReport()
     results = []
-    traces: list[tuple[str, _GraphTrace]] = []
     for seed in seeds:
-        cfg = replace(base, seed=seed)
-        observers = (None, None)
-        if args.dump_graphs:
-            observers = (_GraphTrace(), _GraphTrace())
-            traces.append((f"{seed}_{cfg.engine.mode.value}_early_reject", observers[0]))
-            traces.append((f"{seed}_{cfg.engine.mode.value}_walk_away", observers[1]))
-        entry = twin_run(cfg, observers)
+        entry = twin_run(replace(base, seed=seed))
         report.entries.append(entry)
         results += [entry.reject, entry.walkaway]
         verdict = "ok" if entry.equal else f"MISMATCH: {entry.first_divergence}"
         print(f"seed={seed} mode={entry.mode} twin={verdict}")
     if args.out:
         emit_metrics(results, report, args.out)
-        for label, trace in traces:
-            _write_graph_trace(args.out, label, trace)
+        if args.dump_graphs:
+            for result in results:
+                _write_graph_rows(args.out, result)
     return 2 if report.mismatches else 0
 
 

@@ -103,15 +103,6 @@ class ObjectiveReport:
     waiting_time: int = 0
     riding_time: int = 0
 
-    def __add__(self, other: "ObjectiveReport") -> "ObjectiveReport":
-        return ObjectiveReport(
-            self.p_plus_count + other.p_plus_count,
-            self.p_minus_count + other.p_minus_count,
-            self.driven_time + other.driven_time,
-            self.waiting_time + other.waiting_time,
-            self.riding_time + other.riding_time,
-        )
-
 
 @dataclass(frozen=True)
 class BatchContext:
@@ -265,7 +256,7 @@ def walkaway_sweep(state: SystemState, cfg: EngineConfig) -> list[Event]:
 
 
 def accumulate_objective(events, requests, driven_time: int = 0) -> ObjectiveReport:
-    """Tally penalties and realized cost components from an event slice.
+    """Tally penalties and realized cost components from an event log.
 
     Waiting and riding times read each request's `request_time` and
     `pickup_time` from `requests`.
@@ -283,8 +274,8 @@ def accumulate_objective(events, requests, driven_time: int = 0) -> ObjectiveRep
     return ObjectiveReport(p_plus, p_minus, driven_time, waiting, riding)
 
 
-def step(state: SystemState, cfg: EngineConfig, net: Network, observer=None):
-    """Run one batch; returns (events, objective delta for the batch)."""
+def step(state: SystemState, cfg: EngineConfig, net: Network, observer=None) -> list[Event]:
+    """Run one batch; returns its events."""
     batch = state.batch_index
     events = [
         Event(batch, EventKind.REVEALED, rid, None, state.requests[rid].request_time)
@@ -294,12 +285,10 @@ def step(state: SystemState, cfg: EngineConfig, net: Network, observer=None):
     if observer is not None:
         observer(BatchContext(batch, state.now, state, graph, solution))
     events += apply_assignment(state, solution, cfg)
-    driven_before = sum(v.odometer for v in state.vehicles.values())
     events += transition(state, cfg, net)
     events += walkaway_sweep(state, cfg)
     state.batch_index += 1
     problems = validate_state(state, net)
     if problems:
         raise EngineError(f"batch {batch} broke the state: " + "; ".join(problems))
-    driven = sum(v.odometer for v in state.vehicles.values()) - driven_before
-    return events, accumulate_objective(events, state.requests, driven)
+    return events

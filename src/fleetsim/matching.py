@@ -167,15 +167,15 @@ def kept_plans(
 
 def reachable_vehicles(
     state: SystemState, net: Network, starts: dict[int, tuple[int, int]]
-) -> dict[int, list[int]]:
+) -> dict[int, dict[int, int]]:
     """Vehicles that can reach each open request's origin before its deadline.
 
     `starts` maps each vehicle id to the node and time it sets out
-    from. Keys are every open request, in id order, each listing its
-    vehicles in id order.
+    from. Keys are every open request, in id order, each mapping its
+    vehicles, in id order, to their travel time from there to the origin.
     """
     requests = state.active_requests()
-    out: dict[int, list[int]] = {request.id: [] for request in requests}
+    out: dict[int, dict[int, int]] = {request.id: {} for request in requests}
     if not requests:
         return out  # no row to read, and a row's first read costs a Dijkstra
     origins = [request.origin for request in requests]
@@ -183,13 +183,13 @@ def reachable_vehicles(
     for vid, (node, time) in sorted(starts.items()):
         for (fits, deadline), leg in zip(deadlines, net.travel_times(node, origins)):
             if time + leg <= deadline:
-                fits.append(vid)
+                fits[vid] = leg
     return out
 
 
 def feasible_vehicles(
     state: SystemState, net: Network, kept: dict[int, KeptPlan]
-) -> dict[int, list[int]]:
+) -> dict[int, dict[int, int]]:
     """Vehicles that can still reach each open request before its deadline.
 
     Each vehicle sets out from where and when its kept plan (from
@@ -248,17 +248,19 @@ def assemble_graph(
 
 
 def single_rider_plans(
-    net: Network, weights: CostWeights, request: Request, kept: dict[int, KeptPlan], vehicle_ids: list[int]
+    net: Network, weights: CostWeights, request: Request, kept: dict[int, KeptPlan], legs: dict[int, int]
 ) -> dict[int, tuple[Callable[[], Route], int]]:
     """{vehicle id: (plan, cost)} serving `request` alone after each kept plan.
 
     The plan finishes the kept plan's dropoffs, then serves the request.
     It is priced from where and when the kept plan ends, as drive·(pickup
     + trip − end) + wait·(pickup − request time) + ride·trip over the
-    kept plan's cost, with pickup = end + travel time to the origin: the
-    kept stops keep their times, so this is `route_cost` of the plan. The
-    plan is scheduled when called, from the batch's kept plan. Empty when
-    the direct trip alone exceeds the request's ride limit.
+    kept plan's cost, with pickup = end + the vehicle's leg in `legs`, its
+    travel time from the kept plan's end to the origin as
+    `reachable_vehicles` read it. The kept stops keep their times, so this
+    is `route_cost` of the plan. The plan is scheduled when called, from
+    the batch's kept plan. Empty when the direct trip alone exceeds the
+    request's ride limit.
     """
     trip = net.travel_time(request.origin, request.destination)
     if trip > request.max_ride:
@@ -266,9 +268,9 @@ def single_rider_plans(
     rid = request.id
     serve = [(request.origin, (rid,), ()), (request.destination, (), (rid,))]
     fits = {}
-    for vid in vehicle_ids:
-        start, visits, _, end_node, end_time, cost = kept[vid]
-        pickup = end_time + net.travel_time(end_node, request.origin)
+    for vid, leg in legs.items():
+        start, visits, _, _, end_time, cost = kept[vid]
+        pickup = end_time + leg
         added = (
             weights.drive * (pickup + trip - end_time)
             + weights.wait * (pickup - request.request_time)
@@ -293,8 +295,8 @@ def build_rv_graph(
     kept = kept_plans(state, net, now, weights)
     reach = feasible_vehicles(state, net, kept)
     plans: dict[frozenset[int], dict[int, tuple[Callable[[], Route], int]]] = {}
-    for rid, vids in reach.items():
-        fits = single_rider_plans(net, weights, state.requests[rid], kept, vids)
+    for rid, legs in reach.items():
+        fits = single_rider_plans(net, weights, state.requests[rid], kept, legs)
         if fits:
             plans[frozenset({rid})] = fits
     return assemble_graph(state, list(reach), plans, kept)

@@ -27,7 +27,7 @@ from .network import Network
 
 def divertable_vehicles(
     state: SystemState, net: Network, kept: dict[int, KeptPlan]
-) -> dict[int, list[int]]:
+) -> dict[int, dict[int, int]]:
     """Vehicles that could head straight to each request in time.
 
     Each vehicle sets out from where and when its kept plan (from
@@ -160,11 +160,12 @@ def build_rtv_graph(
         return fits
 
     level: list[frozenset[int]] = []
-    for rid, vids in reach.items():
+    for rid, legs in reach.items():
         group = frozenset({rid})
-        riderless = [vid for vid in vids if not kept[vid].visits]
+        # a riderless kept plan ends where it starts, so its leg is the one read here
+        riderless = {vid: leg for vid, leg in legs.items() if not kept[vid].visits}
         fits = single_rider_plans(net, weights, state.requests[rid], kept, riderless)
-        fits.update(fit(group, [vid for vid in vids if kept[vid].visits]))
+        fits.update(fit(group, [vid for vid in legs if kept[vid].visits]))
         if fits:
             plans[group] = fits
             level.append(group)

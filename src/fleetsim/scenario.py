@@ -14,7 +14,7 @@ import json
 import os
 import random
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .engine import (
     EngineConfig,
@@ -24,6 +24,7 @@ from .engine import (
     ObjectiveReport,
     Reassignment,
     RejectionPolicy,
+    accumulate_objective,
     step,
 )
 from .model import Request, RequestStatus, SystemState, Vehicle, validate_state
@@ -156,13 +157,21 @@ class Metrics:
 
 @dataclass
 class RunResult:
+    """One run's record. `batches` holds one row per batch: its index and
+    its assignment problem's open requests, edges and assigned pairs."""
+
     config: ScenarioConfig
     state: SystemState
     events: list[Event]
     report: ObjectiveReport
     metrics: Metrics
-    active_counts: list[int]
+    batches: list[dict[str, int]]
     start_positions: dict[int, int]
+
+    @property
+    def active_counts(self) -> list[int]:
+        """Open requests in each batch's assignment problem."""
+        return [row["active_requests"] for row in self.batches]
 
 
 def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = None) -> RunResult:
@@ -183,11 +192,17 @@ def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = N
 
     started = _time.perf_counter()
     events: list[Event] = []
-    total = ObjectiveReport()
-    active_counts: list[int] = []
+    batches: list[dict[str, int]] = []
 
     def counting_observer(ctx):
-        active_counts.append(len(ctx.graph.request_ids))
+        batches.append(
+            {
+                "batch": ctx.batch,
+                "active_requests": len(ctx.graph.request_ids),
+                "edges": len(ctx.graph.edges),
+                "assigned": len(ctx.solution.pairs),
+            }
+        )
         if observer is not None:
             observer(ctx)
 
@@ -198,9 +213,7 @@ def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = N
     )
     limit = cfg.engine.horizon + settle // cfg.engine.batch_interval + 1
     for index in range(limit):
-        batch_events, delta = step(state, cfg.engine, net, counting_observer)
-        events += batch_events
-        total = total + delta
+        events += step(state, cfg.engine, net, counting_observer)
         if index + 1 >= cfg.engine.horizon and state.settled():
             break
     else:
@@ -216,12 +229,14 @@ def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = N
     problems = validate_state(state, net)
     if problems:
         raise EngineError("final state is broken: " + "; ".join(problems))
+    # every odometer starts at 0 (build_fleet), so their sum is the run's driving
+    report = accumulate_objective(
+        events, state.requests, sum(v.odometer for v in state.vehicles.values())
+    )
     wallclock_ms = int((_time.perf_counter() - started) * 1000)
 
     served = [r for r in state.requests.values() if r.status is RequestStatus.SERVED]
     left = [r for r in state.requests.values() if r.status is RequestStatus.LEFT]
-    waits = [r.pickup_time - r.request_time for r in served]
-    rides = [r.dropoff_time - r.pickup_time for r in served]
     metrics = Metrics(
         seed=cfg.seed,
         mode=cfg.engine.mode.value,
@@ -229,14 +244,14 @@ def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = N
         requests=len(requests),
         served=len(served),
         left=len(left),
-        p_plus=total.p_plus_count,
-        p_minus=total.p_minus_count,
-        mean_wait=round(sum(waits) / len(waits), 4) if waits else 0.0,
-        mean_ride=round(sum(rides) / len(rides), 4) if rides else 0.0,
-        driven=sum(v.odometer for v in state.vehicles.values()),
+        p_plus=report.p_plus_count,
+        p_minus=report.p_minus_count,
+        mean_wait=round(report.waiting_time / len(served), 4) if served else 0.0,
+        mean_ride=round(report.riding_time / len(served), 4) if served else 0.0,
+        driven=report.driven_time,
         wallclock_ms=wallclock_ms,
     )
-    return RunResult(cfg, state, events, total, metrics, active_counts, start_positions)
+    return RunResult(cfg, state, events, report, metrics, batches, start_positions)
 
 
 @dataclass
@@ -335,9 +350,7 @@ def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
         mode=cfg.engine.mode.value,
         served_set_equal=set(a.served) == set(b.served),
         left_set_equal=a.left == b.left,
-        times_equal=all(
-            a.served.get(rid) == b.served.get(rid) for rid in set(a.served) | set(b.served)
-        ),
+        times_equal=a.served == b.served,
         odometers_equal=a.odometers == b.odometers,
         first_divergence=_first_divergence(a, b),
         reject=reject,
@@ -453,10 +466,7 @@ def _check_premise(cfg: ScenarioConfig) -> None:
 
 # -- emission ----------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "seed", "mode", "policy", "requests", "served", "left",
-    "p_plus", "p_minus", "mean_wait", "mean_ride", "driven", "wallclock_ms",
-]
+_CSV_COLUMNS = [f.name for f in fields(Metrics)]
 
 
 def metrics_csv(rows: list[Metrics]) -> str:

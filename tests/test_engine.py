@@ -48,13 +48,12 @@ def fresh_request(rid, origin, destination, request_time=0, max_wait=5, max_ride
 
 
 def run_batches(state, cfg, net, batches, observer=None):
+    """Run `batches` steps; returns the events and the objective tallied from them."""
     events = []
-    total = ObjectiveReport()
     for _ in range(batches):
-        batch_events, delta = step(state, cfg, net, observer)
-        events += batch_events
-        total = total + delta
-    return events, total
+        events += step(state, cfg, net, observer)
+    driven = sum(v.odometer for v in state.vehicles.values())
+    return events, accumulate_objective(events, state.requests, driven)
 
 
 def test_config_validation_and_coercion():
@@ -339,27 +338,6 @@ def test_pooling_step_shares_one_vehicle():
     assert total == ObjectiveReport(0, 0, 6, 5, 4)
 
 
-def test_step_deltas_telescope_to_full_log_totals():
-    net = Network.build_grid(6, 6)
-    rng = random.Random(99)
-    state = SystemState()
-    for vid in range(3):
-        state.add_vehicle(Vehicle(id=vid, capacity=2, position=rng.randrange(36)))
-    for rid in range(1, 9):
-        origin, destination = rng.sample(range(36), 2)
-        state.add_request(
-            fresh_request(
-                rid, origin, destination,
-                request_time=rng.randrange(0, 8), max_wait=rng.randrange(3, 7),
-            )
-        )
-    cfg = EngineConfig(mode=Mode.POOLING, rejection_policy=RejectionPolicy.WALK_AWAY, horizon=40)
-    events, total = run_batches(state, cfg, net, 40)
-    driven = sum(v.odometer for v in state.vehicles.values())
-    assert accumulate_objective(events, state.requests, driven) == total
-    assert total.driven_time == driven
-
-
 @pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
 @pytest.mark.parametrize(
     "policy", [RejectionPolicy.EARLY_REJECT, RejectionPolicy.WALK_AWAY]
@@ -476,7 +454,7 @@ def test_reveal_queue_matches_a_brute_force_scan(mode, batch_interval):
                 if request.status is RequestStatus.UNREVEALED
                 and t - batch_interval < request.request_time <= t
             ]
-            events, _ = step(state, cfg, net)
+            events = step(state, cfg, net)
             assert [e.request for e in events if e.kind is EventKind.REVEALED] == expected
             late_revealed += sum(rid >= 10_000 for rid in expected)
         never += sum(

@@ -7,6 +7,7 @@ import itertools
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +37,7 @@ from fleetsim.pooling import (
 )
 from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
 from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
+from test_acceptance import pooling_cfg
 from test_pinned_logs import _directed_grid
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
@@ -389,7 +391,7 @@ def test_divertable_vehicles_boundary_and_commitment_blindness():
     state.add_request(reachable)
     out = divertable_vehicles(state, net, kept_plans(state, net, 2, _W))
     # vehicle 0: 3 + 1 = 4 == deadline; vehicle 1: 2 + 7 > 4
-    assert out[1] == [0]
+    assert out[1] == {0: 1}
 
 
 # -- assignment -----------------------------------------------------------------
@@ -854,3 +856,28 @@ def test_divertable_sets_only_shrink_on_short_runs(network, reassignment, tmp_pa
         twin_run(cfg, observers=pair)
         checks += sum(check.checks for check in pair)
     assert checks >= 800
+
+
+def _with_engine(cfg: ScenarioConfig, **engine) -> ScenarioConfig:
+    return replace(cfg, engine=replace(cfg.engine, **engine))
+
+
+def test_twins_agree_without_the_bundle_cap():
+    # the acceptance pooling battery's first ten seeds, solved exactly
+    for seed in range(2000, 2010):
+        entry = twin_run(_with_engine(pooling_cfg(seed), max_bundle_size=None))
+        assert entry.equal, (seed, entry.first_divergence)
+
+
+@pytest.mark.parametrize("reassignment", [Reassignment.ALLOWED, Reassignment.FROZEN])
+def test_only_a_binding_bundle_cap_splits_the_seed_2016_twins(reassignment):
+    cfg = pooling_cfg(2016)
+    expected = {None: None, 4: None, 3: "request 160 served only under walkaway"}
+    for cap, divergence in expected.items():
+        entry = twin_run(
+            _with_engine(cfg, batch_interval=2, reassignment=reassignment, max_bundle_size=cap)
+        )
+        assert entry.first_divergence == divergence, (
+            f"cap {cap}: {entry.first_divergence!r}; README's paragraph on the "
+            "bundle cap describes this case, update it if this changes"
+        )

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from fleetsim.cli import main
-from fleetsim.engine import EngineConfig, Mode, RejectionPolicy
+from fleetsim.engine import EngineConfig, Mode, RejectionPolicy, accumulate_objective
 from fleetsim.model import RequestStatus
 from fleetsim.network import Network, grid_node
 from fleetsim.scenario import (
@@ -18,6 +18,7 @@ from fleetsim.scenario import (
     event_log_lines,
     generate_demand,
     metrics_csv,
+    parse_config,
     parse_config_text,
     parse_policy,
     run_scenario,
@@ -185,6 +186,54 @@ def test_run_scenario_settles_every_request():
     assert len(result.active_counts) >= result.config.engine.horizon
 
 
+class BatchRows:
+    """Observer: one problem-size row per batch, read off its BatchContext."""
+
+    def __init__(self):
+        self.rows = []
+
+    def __call__(self, ctx):
+        self.rows.append(
+            {
+                "batch": ctx.batch,
+                "active_requests": len(ctx.graph.request_ids),
+                "edges": len(ctx.graph.edges),
+                "assigned": len(ctx.solution.pairs),
+            }
+        )
+
+
+@pytest.mark.parametrize("batch_interval", [1, 2, 3])
+@pytest.mark.parametrize("mode", [Mode.HAILING, Mode.POOLING])
+def test_run_record_agrees_with_the_state_and_an_observer(mode, batch_interval):
+    pooling = mode is Mode.POOLING
+    cfg = small_cfg(
+        seed=7, rate=1.0, vehicle_count=4, vehicle_capacity=3 if pooling else 1,
+        engine=EngineConfig(
+            mode=mode, horizon=30, batch_interval=batch_interval,
+            max_bundle_size=3 if pooling else None,
+        ),
+    )
+    observers = (BatchRows(), BatchRows())
+    entry = twin_run(cfg, observers)
+    for result, observer in zip((entry.reject, entry.walkaway), observers):
+        state, metrics = result.state, result.metrics
+        driven = sum(v.odometer for v in state.vehicles.values())
+        assert result.report == accumulate_objective(result.events, state.requests, driven)
+        served = [r for r in state.requests.values() if r.status is RequestStatus.SERVED]
+        assert served and metrics.served == len(served)
+        waits = [r.pickup_time - r.request_time for r in served]
+        rides = [r.dropoff_time - r.pickup_time for r in served]
+        assert metrics.mean_wait == round(sum(waits) / len(waits), 4)
+        assert metrics.mean_ride == round(sum(rides) / len(rides), 4)
+        assert metrics.p_plus == result.report.p_plus_count
+        assert metrics.p_minus == metrics.left > 0
+        assert metrics.driven == driven
+        assert result.batches == observer.rows
+        assert [row["batch"] for row in result.batches] == list(range(len(result.batches)))
+        assert result.active_counts == [row["active_requests"] for row in observer.rows]
+
+
 def test_run_scenario_with_no_vehicles_drops_everyone():
     result = run_scenario(small_cfg(seed=5, rate=0.8, vehicle_count=0))
     assert result.metrics.requests > 0
@@ -320,6 +369,36 @@ def test_cli_run_twin_sweep_validate(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--policy", "walkaway"]) == 0
     printed = capsys.readouterr().out
     assert "policy=walk_away" in printed
+
+
+def _json_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_cli_graph_dumps_are_the_run_records(tmp_path, capsys):
+    config = tmp_path / "pooling.cfg"
+    config.write_text(
+        "seed = 3\nnetwork.grid_width = 8\nnetwork.grid_height = 8\n"
+        "fleet.vehicles = 4\nfleet.capacity = 3\ndemand.rate = 1.0\n"
+        "demand.max_wait_low = 3\ndemand.max_wait_high = 5\n"
+        "engine.mode = pooling\nengine.batch_interval = 2\n"
+        "engine.max_bundle_size = 3\nengine.horizon = 20\n"
+    )
+    cfg = parse_config(config)
+    out = tmp_path / "out"
+
+    assert main(["run", "--config", str(config), "--out", str(out / "run"), "--dump-graphs"]) == 0
+    rows = _json_lines(out / "run" / "graphs_3_pooling_early_reject.jsonl")
+    assert rows == run_scenario(cfg).batches
+
+    args = ["sweep", "--config", str(config), "--seeds", "3:2", "--out", str(out / "sweep")]
+    assert main(args + ["--dump-graphs"]) == 0
+    for seed in (3, 4):
+        entry = twin_run(replace(cfg, seed=seed))
+        for result in (entry.reject, entry.walkaway):
+            policy = result.config.engine.rejection_policy.value
+            assert _json_lines(out / "sweep" / f"graphs_{seed}_pooling_{policy}.jsonl") == result.batches
+    capsys.readouterr()
 
 
 def test_cli_validation_failures_exit_one(tmp_path, capsys):
