@@ -13,18 +13,20 @@ priced by arithmetic from where, when and at what cost each kept plan
 ends (`single_rider_plans`). In both modes an edge's plan is scheduled
 only when someone reads it, in practice only for the chosen edges. The
 solution carries every vehicle's next route: its chosen edge's, or else
-its kept plan's. A hailing batch is solved as a min-cost matching whose
-weights encode the operator's priorities: drop as few previously
-promised requests as possible, serve as many requests as possible, then
-minimize the cost increase over the kept plans. The priorities and the
-canonical tie rule (lowest request id, then lowest vehicle id) are
-packed into one integer per edge, so the same instance always yields
-the same assignment.
+its kept plan's. Both exact solvers take one priority rule
+(`_ranked_choices`): it filters the (bundle, vehicle) choices a frozen
+batch allows, ranks them by a canonical tie key, and prices each so that
+a lesser sum drops fewer previously promised requests, then serves more
+requests, then adds less cost over the kept plans. A hailing batch is
+solved as a min-cost matching on those priorities, with ties broken by
+lowest request id, then by choice rank, all packed into one integer per
+edge, so the same instance always yields the same assignment.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -85,7 +87,6 @@ class RTVGraph:
     vehicle_ids: list[int]
     bundles: list[Bundle]
     edges: dict[tuple[int, int], VBEdge]
-    vehicle_bundles: dict[int, list[int]]
     prev_assigned: dict[int, int | None]
     baseline_cost: dict[int, int]
     kept_routes: dict[int, Route | None]
@@ -223,12 +224,10 @@ def assemble_graph(
     ordered = sorted(plans, key=lambda s: (len(s), tuple(sorted(s))))
     bundles = [Bundle(bid, group) for bid, group in enumerate(ordered)]
     edges: dict[tuple[int, int], VBEdge] = {}
-    vehicle_bundles: dict[int, list[int]] = {vid: [] for vid in vehicle_ids}
     for bundle in bundles:
         for vid in sorted(plans[bundle.members]):
             route, cost = plans[bundle.members][vid]
             edges[(bundle.id, vid)] = VBEdge(bundle.id, vid, cost - baseline[vid], route)
-            vehicle_bundles[vid].append(bundle.id)
     prev = {
         rid: state.requests[rid].assigned_vehicle
         if state.requests[rid].status is RequestStatus.WAITING
@@ -240,7 +239,6 @@ def assemble_graph(
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost=baseline,
         kept_routes={vid: kept[vid].route for vid in vehicle_ids},
@@ -302,42 +300,58 @@ def build_rv_graph(
     return assemble_graph(state, list(reach), plans, kept)
 
 
-def _vehicle_options(graph: RTVGraph, frozen: bool):
-    """Per-vehicle choice lists, most content-canonical first, None last.
+def _ranked_choices(graph: RTVGraph, frozen: bool):
+    """Every allowed (bundle, vehicle) choice, ranked and priced, and the
+    committed vehicles; the one priority rule of both exact solvers.
 
     In frozen mode a vehicle holding commitments may only choose bundles
     that keep all of them, and no vehicle may take a request committed
-    to another.
+    to another; a committed vehicle left without a choice raises
+    MatchingError. The allowed choices are ranked by the tie key (sorted
+    members, vehicle id), and each is priced level·spread + cost, for
+    level = −(previously assigned members)·(R+1) − (members) over R open
+    requests and spread = 1 + Σ|cost| over the allowed choices. Spread
+    outweighs any cost difference and R+1 any count, so a lesser sum of
+    priorities keeps more previously assigned requests, then covers more
+    requests, then costs less.
+
+    Returns [(vehicle id, bundle id, members as a bitmask over
+    `graph.request_ids`, priority)] in rank order, and the set of
+    vehicles holding commitments (empty unless frozen).
     """
-    frozen_map: dict[int, int] = {}
-    if frozen:
-        frozen_map = {
-            rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None
-        }
-    needs: dict[int, set[int]] = {}
-    for rid, vid in frozen_map.items():
-        needs.setdefault(vid, set()).add(rid)
-    options: dict[int, list[int | None]] = {}
-    for vid in graph.vehicle_ids:
-        allowed: list[int | None] = []
-        need = needs.get(vid, set())
-        for bid in graph.vehicle_bundles.get(vid, ()):
-            members = graph.members(bid)
-            if frozen:
-                if not need <= members:
-                    continue
-                if any(frozen_map.get(rid, vid) != vid for rid in members):
-                    continue
-            allowed.append(bid)
-        if need and not allowed:
-            raise MatchingError(
-                f"vehicle {vid}: frozen commitment to {sorted(need)} lost feasibility;"
-                " no workable bundle keeps it"
-            )
-        if not need:
-            allowed.append(None)
-        options[vid] = allowed
-    return options
+    promised = {rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None}
+    owner = promised if frozen else {}
+    owed = Counter(owner.values())
+    scale = len(graph.request_ids) + 1
+    bit = {rid: 1 << i for i, rid in enumerate(graph.request_ids)}
+    # per bundle: (tie key, mask, level, the owners of its commitments)
+    about = []
+    for bundle in graph.bundles:
+        members = bundle.members
+        about.append((
+            tuple(sorted(members)),
+            sum(bit[rid] for rid in members),
+            -len(promised.keys() & members) * scale - len(members),
+            [owner[rid] for rid in members if rid in owner],
+        ))
+    allowed = []
+    for (bid, vid), edge in graph.edges.items():
+        key, mask, level, claims = about[bid]
+        # the bundle holds every commitment of this vehicle and no other's
+        if claims.count(vid) == len(claims) == owed.get(vid, 0):
+            allowed.append((key, vid, bid, mask, level, edge.cost))
+    lost = set(owed) - {choice[1] for choice in allowed}
+    if lost:
+        vid = min(lost)
+        need = sorted(rid for rid, owner_id in owner.items() if owner_id == vid)
+        raise MatchingError(
+            f"vehicle {vid}: frozen commitment to {need} lost feasibility;"
+            " no workable bundle keeps it"
+        )
+    allowed.sort()
+    spread = 1 + sum(abs(choice[5]) for choice in allowed)
+    ranked = [(vid, bid, mask, level * spread + cost) for _, vid, bid, mask, level, cost in allowed]
+    return ranked, set(owed)
 
 
 def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolution:
@@ -459,49 +473,31 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     lower request ids and pairing each with the lowest workable vehicle
     id, so equal instances resolve equally.
 
-    Each edge's weight is one integer, w·2^(R+E) − 2^(E+R−1−rank of its
-    request) − 2^(E−1−rank of the edge), for R request ids, E edges
-    ranked by (request, vehicle), and w the cost less a spread that
-    outweighs any cost difference (less a drop penalty on a previously
-    assigned request that outweighs any count). A matching's total is
-    (Σw)·2^(R+E) − B·2^E − C, where B < 2^R sums the bits of its
+    Each allowed edge weighs one integer, (priority << (R+E)) −
+    2^(R+E−1−rank of its request) − 2^(E−1−rank of the edge), for R
+    request ids, E allowed edges ranked by (request, vehicle), and the
+    priority `_ranked_choices` gives it. A matching's total is
+    (Σpriority)·2^(R+E) − B·2^E − C, where B < 2^R sums the bits of its
     distinct requests and C < 2^E those of its distinct edges, so totals
-    compare as the triples (Σw, −B, −C) do lexicographically, and
+    compare as the triples (Σpriority, −B, −C) do lexicographically, and
     distinct matchings never tie. Python integers are unbounded, so the
     weights stay exact however many edges a batch has.
 
-    With frozen=True every previously assigned pair is locked in and
-    only the remaining requests and vehicles are optimized.
+    With frozen=True a commitment is the only allowed edge of its vehicle
+    and of its request. The matcher only ever adds requests to its
+    matching, so it keeps every commitment and optimizes the rest.
     """
-    options = _vehicle_options(graph, frozen)
-    # a committed vehicle's one option is its frozen request's bundle
-    chosen = {vid: opts[0] for vid, opts in options.items() if None not in opts}
-
-    costs: dict[tuple[int, int], int] = {}
-    bundle_of: dict[int, int] = {}
-    for vid in graph.vehicle_ids:
-        if vid in chosen:
-            continue
-        # no free vehicle's bundle holds a committed request
-        for bid in options[vid][:-1]:  # all but the trailing None
-            (rid,) = graph.members(bid)
-            costs[(rid, vid)] = graph.edge(bid, vid).cost
-            bundle_of[rid] = bid
-    if costs:
-        spread = 1 + sum(abs(c) for c in costs.values())
-        drop_penalty = 1 + (len(graph.request_ids) + 2) * spread
-        rank_r = {rid: i for i, rid in enumerate(graph.request_ids)}
-        bits_e = len(costs)
-        bits = len(graph.request_ids) + bits_e
-        weights = {}
-        for rank_e, pair in enumerate(sorted(costs)):
-            rid = pair[0]
-            w = costs[pair] - spread
-            if graph.prev_assigned.get(rid) is not None:
-                w -= drop_penalty
-            weights[pair] = (
-                (w << bits) - (1 << (bits - 1 - rank_r[rid])) - (1 << (bits_e - 1 - rank_e))
-            )
-        matching = _min_cost_matching(weights)
-        chosen.update((vid, bundle_of[rid]) for rid, vid in matching.items())
-    return _solution_from(graph, chosen)
+    ranked, _ = _ranked_choices(graph, frozen)
+    bits_e = len(ranked)
+    bits = len(graph.request_ids) + bits_e
+    weights = {}
+    bundle_of = {}
+    for rank, (vid, bid, mask, priority) in enumerate(ranked):
+        (rid,) = graph.members(bid)
+        bundle_of[rid] = bid
+        rank_r = mask.bit_length() - 1  # a singleton's mask is 1 << its request's rank
+        weights[(rid, vid)] = (
+            (priority << bits) - (1 << (bits - 1 - rank_r)) - (1 << (bits_e - 1 - rank))
+        )
+    matching = _min_cost_matching(weights)
+    return _solution_from(graph, {vid: bundle_of[rid] for rid, vid in matching.items()})

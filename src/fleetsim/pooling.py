@@ -8,8 +8,9 @@ when its route is read. A vehicle with nobody on board serves a lone
 request as in single-rider mode, priced by `single_rider_plans`;
 `best_route` searches the rest. An exact dynamic program over the
 vehicles then picks at most one bundle per vehicle, covering each
-request at most once, under the same lexicographic priorities as the
-single-rider mode, packed into one integer per choice as there.
+request at most once, under the single-rider mode's priority rule
+(`matching._ranked_choices`), with ties broken by choice rank alone,
+packed into one integer per choice.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import partial
 
 from .matching import (
     AssignmentSolution, Bundle, KeptPlan, MatchingError, RTVGraph, VBEdge, _plan, _solution_from,
-    _vehicle_options, assemble_graph, kept_plans, reachable_vehicles, single_rider_plans,
+    _ranked_choices, assemble_graph, kept_plans, reachable_vehicles, single_rider_plans,
 )
 # route_cost is unused here; perfbench/spans.py traces this binding
 from .model import CostWeights, SystemState, Vehicle, plan_start, route_cost
@@ -206,14 +207,13 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     land on the same answer regardless of internal ordering.
 
     Each allowed (bundle, vehicle) choice weighs one integer,
-    ((level·spread + cost) << E) − 2^(E−1−rank), for E choices ranked by
-    the tie key (sorted members, vehicle id), level = −(previously
-    assigned members)·(R+1) − (members) over R open requests, and
-    spread = 1 + Σ|cost|. Totals compare as (kept previous, covered,
-    cost) do, then by rank bits: optima cover equally many requests, so
-    none is a prefix of another, and the least sorted chain is the one
-    holding the least-ranked choice the two do not share. Distinct
-    solutions never tie.
+    (priority << E) − 2^(E−1−rank), for E choices ranked by the tie key
+    (sorted members, vehicle id) and the priority `_ranked_choices`
+    gives it. Totals compare as (kept previous, covered, cost) do, then
+    by rank bits: optima cover equally many requests, so none is a
+    prefix of another, and the least sorted chain is the one holding the
+    least-ranked choice the two do not share. Distinct solutions never
+    tie.
 
     A dynamic program over the vehicles with a bundle, fewest options
     first, finds the least total. Its states map the taken requests a
@@ -221,43 +221,16 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     Raises MatchingError when frozen commitments cannot all be kept at
     once.
     """
-    options = _vehicle_options(graph, frozen)
-    prev_set = frozenset(
-        rid for rid, vid in graph.prev_assigned.items() if vid is not None
-    )
-    bit = {rid: 1 << i for i, rid in enumerate(graph.request_ids)}
-    # per bundle: (tie key, requests as a bitmask, previously assigned, size)
-    about = {}
-    for bundle in graph.bundles:
-        members = bundle.members
-        about[bundle.id] = (
-            tuple(sorted(members)),
-            sum(bit[rid] for rid in members),
-            len(prev_set & members),
-            len(members),
-        )
-    ranked = sorted(
-        (about[bid][0], vid, bid)
-        for vid, allowed in options.items()
-        for bid in allowed
-        if bid is not None
-    )
+    ranked, committed = _ranked_choices(graph, frozen)
     total = len(ranked)
-    edges = graph.edges
-    spread = 1 + sum(abs(edges[(bid, vid)].cost) for _, vid, bid in ranked)
-    scale = len(graph.request_ids) + 1
     # per vehicle with a bundle: (requests as a bitmask, weight, bundle
     # id) per option; a vehicle with none has nothing to decide
     choices: dict[int, list[tuple[int, int, int | None]]] = {}
-    for rank, (_, vid, bid) in enumerate(ranked):
-        _, mask, prev_count, size = about[bid]
-        level = -prev_count * scale - size
-        weight = ((level * spread + edges[(bid, vid)].cost) << total) - (
-            1 << (total - 1 - rank)
-        )
+    for rank, (vid, bid, mask, priority) in enumerate(ranked):
+        weight = (priority << total) - (1 << (total - 1 - rank))
         choices.setdefault(vid, []).append((mask, weight, bid))
     for vid, listed in choices.items():
-        if None in options[vid]:
+        if vid not in committed:
             listed.append((0, 0, None))
 
     order = sorted(choices, key=lambda vid: (len(choices[vid]), vid))

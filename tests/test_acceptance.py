@@ -209,10 +209,6 @@ def _random_rv_instance(rng: random.Random) -> RTVGraph:
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicle_bundles={
-            vid: [bundle_of[rid] for rid in request_ids if vid in vehicles_for[rid]]
-            for vid in vehicle_ids
-        },
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vehicle_ids},
         kept_routes={vid: None for vid in vehicle_ids},
@@ -263,13 +259,11 @@ def _random_rtv_instance(rng: random.Random) -> RTVGraph | None:
     bundles = [Bundle(i, members) for i, members in enumerate(kept_groups)]
     index = {b.members: b.id for b in bundles}
     edges = {}
-    vehicle_bundles: dict[int, list[int]] = {vid: [] for vid in vids}
     for (members, vid), cost in sorted(
         edge_costs.items(), key=lambda kv: (index[frozenset(kv[0][0])], kv[0][1])
     ):
         bid = index[frozenset(members)]
         edges[(bid, vid)] = VBEdge(bid, vid, cost, _DUMMY_ROUTE)
-        vehicle_bundles[vid].append(bid)
     prev: dict[int, int | None] = {rid: None for rid in rids}
     used = set()
     for (members, vid) in sorted(edge_costs):
@@ -281,7 +275,6 @@ def _random_rtv_instance(rng: random.Random) -> RTVGraph | None:
         vehicle_ids=vids,
         bundles=bundles,
         edges=edges,
-        vehicle_bundles=vehicle_bundles,
         prev_assigned=prev,
         baseline_cost={vid: 0 for vid in vids},
         kept_routes={vid: None for vid in vids},

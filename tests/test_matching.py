@@ -43,16 +43,13 @@ def make_graph(request_ids, vehicle_ids, costs, prev=None):
     ]
     bundle_of = {min(b.members): b.id for b in bundles}
     edges = {}
-    vehicle_bundles = {vid: [] for vid in vehicle_ids}
     for (rid, vid), cost in sorted(costs.items(), key=lambda kv: (bundle_of[kv[0][0]], kv[0][1])):
         edges[(bundle_of[rid], vid)] = VBEdge(bundle_of[rid], vid, cost, _DUMMY_ROUTE)
-        vehicle_bundles[vid].append(bundle_of[rid])
     return RTVGraph(
         request_ids=sorted(request_ids),
         vehicle_ids=sorted(vehicle_ids),
         bundles=bundles,
         edges=edges,
-        vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
         kept_routes={vid: None for vid in vehicle_ids},

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fleetsim.engine import EngineConfig, Mode, Reassignment
-from fleetsim.matching import MatchingError, _vehicle_options, kept_plans
+from fleetsim.matching import MatchingError, _ranked_choices, kept_plans, solve_hailing
 from fleetsim.model import (
     CostWeights,
     Request,
@@ -407,11 +407,9 @@ def synth_graph(bundle_members, edge_costs, prev=None, vehicle_ids=None, extra_r
         set(vehicle_ids or []) | {vid for _, vid in edge_costs}
     )
     edges = {}
-    vehicle_bundles = {vid: [] for vid in vehicle_ids}
     for (members, vid), cost in sorted(edge_costs.items(), key=lambda kv: (index[frozenset(kv[0][0])], kv[0][1])):
         bid = index[frozenset(members)]
         edges[(bid, vid)] = VBEdge(bid, vid, cost, _DUMMY_ROUTE)
-        vehicle_bundles[vid].append(bid)
     request_ids = sorted(set().union(*groups, set(extra_requests)))
     prev = dict(prev or {})
     return RTVGraph(
@@ -419,7 +417,6 @@ def synth_graph(bundle_members, edge_costs, prev=None, vehicle_ids=None, extra_r
         vehicle_ids=vehicle_ids,
         bundles=bundles,
         edges=edges,
-        vehicle_bundles=vehicle_bundles,
         prev_assigned={rid: prev.get(rid) for rid in request_ids},
         baseline_cost={vid: 0 for vid in vehicle_ids},
         kept_routes={vid: None for vid in vehicle_ids},
@@ -595,9 +592,11 @@ def test_oracle_frozen_filter_agrees_with_the_solvers_filter():
             got = solve_pooling(graph, frozen=frozen)
             assert got.chosen_bundles == want.chosen_bundles
             assert got.value == want.value
-            assert {
-                vid: set(opts) for vid, opts in _vehicle_options(graph, frozen).items()
-            } == oracle_options(graph, frozen)
+            ranked, committed = _ranked_choices(graph, frozen)
+            options = {vid: set() if vid in committed else {None} for vid in graph.vehicle_ids}
+            for vid, bid, _, _ in ranked:
+                options[vid].add(bid)
+            assert options == oracle_options(graph, frozen)
             agreed += frozen
     assert agreed >= 150
     assert raised >= 100
@@ -761,6 +760,57 @@ def test_solver_matches_the_oracle_on_mixed_graphs(graph, frozen):
     assert got.pairs == want.pairs
     assert got.chosen_bundles == want.chosen_bundles
     assert got.value == want.value
+
+
+def _singleton_part(graph):
+    """`graph` without its multi-rider bundles, as hailing takes it."""
+    costs = {
+        (tuple(graph.members(bid)), vid): edge.cost
+        for (bid, vid), edge in graph.edges.items()
+        if len(graph.members(bid)) == 1
+    }
+    prev = {rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None}
+    return synth_graph(
+        sorted({m for m, _ in costs}), costs, prev=prev,
+        vehicle_ids=graph.vehicle_ids, extra_requests=graph.request_ids,
+    )
+
+
+def _relabelled(graph, bundle_ids, edge_order):
+    """`graph` with bundle i renumbered `bundle_ids[i]` and its edges
+    inserted in `edge_order`."""
+    bundles = sorted(
+        (Bundle(bundle_ids[b.id], b.members) for b in graph.bundles), key=lambda b: b.id
+    )
+    edges = {}
+    for bid, vid in edge_order:
+        edges[(bundle_ids[bid], vid)] = VBEdge(
+            bundle_ids[bid], vid, graph.edge(bid, vid).cost, _DUMMY_ROUTE
+        )
+    return replace(graph, bundles=bundles, edges=edges)
+
+
+def _outcome(solve, graph, frozen):
+    try:
+        solution = solve(graph, frozen=frozen)
+    except MatchingError as exc:
+        return str(exc)
+    chosen = {vid: graph.members(bid) for vid, bid in solution.chosen_bundles.items()}
+    return solution.pairs, solution.value, chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graphs(), st.data())
+def test_solvers_ignore_bundle_ids_and_edge_order(graph, data):
+    # both solvers rank and price the choices in one pass over
+    # graph.edges, so neither the bundle numbering nor the order the
+    # edges were inserted in may change an answer or an error
+    for solve, base in ((solve_pooling, graph), (solve_hailing, _singleton_part(graph))):
+        bundle_ids = data.draw(st.permutations(range(len(base.bundles))))
+        edge_order = data.draw(st.permutations(list(base.edges)))
+        other = _relabelled(base, bundle_ids, edge_order)
+        for frozen in (False, True):
+            assert _outcome(solve, other, frozen) == _outcome(solve, base, frozen)
 
 
 def test_tie_rule_holds_past_machine_word_size():

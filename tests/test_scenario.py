@@ -10,7 +10,7 @@ import pytest
 from fleetsim.cli import main
 from fleetsim.engine import EngineConfig, Mode, RejectionPolicy, accumulate_objective
 from fleetsim.model import RequestStatus
-from fleetsim.network import Network, grid_node
+from fleetsim.network import Network
 from fleetsim.scenario import (
     ConfigError,
     ScenarioConfig,
