@@ -18,9 +18,9 @@ its kept plan's. Both exact solvers take one priority rule
 batch allows, ranks them by a canonical tie key, and prices each so that
 a lesser sum drops fewer previously promised requests, then serves more
 requests, then adds less cost over the kept plans. A hailing batch is
-solved as a min-cost matching on those priorities, with ties broken by
-lowest request id, then by choice rank, all packed into one integer per
-edge, so the same instance always yields the same assignment.
+solved as a least-weight matching on those priorities, with ties broken
+by lowest request id, then by choice rank, all packed into one integer
+per edge, so the same instance always yields the same assignment.
 """
 
 from __future__ import annotations
@@ -385,82 +385,79 @@ def _solution_from(graph: RTVGraph, chosen: dict[int, int]) -> AssignmentSolutio
 
 
 def _min_cost_matching(weights: dict[tuple[int, int], int]) -> dict[int, int]:
-    """Free-cardinality min-cost matching over integer (request, vehicle) weights.
+    """A least-weight matching over integer (request, vehicle) weights.
 
-    Successive shortest augmenting paths with node potentials; the first
-    Dijkstra round is a plain relaxation over single edges, which also
-    absorbs the negative raw weights, and every later round runs on
-    reduced weights that stay non-negative. Only requests and vehicles
-    with an edge take part. Returns {request: vehicle}.
+    A request left unmatched weighs 0, so an edge of positive weight is
+    never taken, and the matching need not have the most edges: it is
+    the one whose weights sum least. Only requests and vehicles with an
+    edge take part. Returns {request: vehicle}. On `solve_hailing`'s
+    weights every edge weighs less than 0 and the counts outweigh cost,
+    so a matching with an augmenting path is never least: flipping the
+    path serves one more request and drops none. There the least-weight
+    matching also has the most edges.
+
+    Requests enter one at a time, in the order of their first edge
+    (Jonker and Volgenant's shortest augmenting path, Computing 1987).
+    Request i also owns a "left out" column of weight 0. Potentials u
+    (requests) and v (columns) keep every reduced weight w − u − v
+    non-negative and every matched one 0, and a free column keeps v = 0.
+    An entering request takes u = min(w − v) over its columns, which
+    absorbs the negative raw weights, then runs one Dijkstra over reduced
+    weights from itself alone, stopping at the first free column it
+    settles, at distance d*. Each matched column settled at d gives up
+    d* − d of v to its request, the entering request gains d*, and the
+    path to the free column flips. Its own left-out column is always
+    free, so every search ends.
     """
-    out: dict[int, list[tuple[int, int]]] = {}
-    for (rid, vid), w in sorted(weights.items()):
-        out.setdefault(rid, []).append((vid, w))
-    sources = list(out)
-    vehicle_ids = sorted({vid for _, vid in weights})
-    pi_r = dict.fromkeys(sources, 0)
-    pi_v = dict.fromkeys(vehicle_ids, 0)
-    match_rv: dict[int, int] = {}
-    match_vr: dict[int, int] = {}
+    col_of: dict[int, int] = {}
+    adjs: dict[int, list[tuple[int, int]]] = {}
+    for (rid, vid), w in weights.items():
+        adjs.setdefault(rid, []).append((col_of.setdefault(vid, len(col_of)), w))
+    request_ids = list(adjs)
+    n_cols = len(col_of)
+    rows = list(adjs.values())
+    for i, adj in enumerate(rows):
+        adj.append((n_cols + i, 0))
+    u = [0] * len(rows)
+    v = [0] * (n_cols + len(rows))
+    row_of = [-1] * len(v)  # the request matched to each column
+    col_at = [-1] * len(rows)  # the column matched to each request
 
-    while True:
-        dist_r: dict[int, int] = {}
-        dist_v: dict[int, int] = {}
-        parent_v: dict[int, int] = {}
-        heap: list = []
-        for rid in sources:
-            if rid not in match_rv:
-                dist_r[rid] = 0
-                heapq.heappush(heap, (0, 0, rid))
-        while heap:
-            d, kind, node = heapq.heappop(heap)
-            if kind == 0:
-                if dist_r.get(node) != d:
-                    continue
-                base = d + pi_r[node]
-                for vid, w in out[node]:
-                    if match_rv.get(node) == vid:
-                        continue
-                    nd = base + w - pi_v[vid]
-                    if vid not in dist_v or nd < dist_v[vid]:
-                        dist_v[vid] = nd
-                        parent_v[vid] = node
-                        heapq.heappush(heap, (nd, 1, vid))
-            else:
-                if dist_v.get(node) != d:
-                    continue
-                rid = match_vr.get(node)
-                if rid is None:
-                    continue
-                nd = d + pi_v[node] - weights[(rid, node)] - pi_r[rid]
-                if rid not in dist_r or nd < dist_r[rid]:
-                    dist_r[rid] = nd
-                    heapq.heappush(heap, (nd, 0, rid))
-
-        best = None
-        for vid in vehicle_ids:
-            if vid in match_vr or vid not in dist_v:
-                continue
-            true_cost = dist_v[vid] + pi_v[vid]
-            if best is None or (true_cost, vid) < best:
-                best = (true_cost, vid)
-        if best is None:
-            return match_rv
-        target = best[1]
-        bound = dist_v[target]
-        for rid in pi_r:
-            pi_r[rid] += min(dist_r[rid], bound) if rid in dist_r else bound
-        for vid in pi_v:
-            pi_v[vid] += min(dist_v[vid], bound) if vid in dist_v else bound
-        vid = target
+    for i, adj in enumerate(rows):
+        u[i] = min(w - v[c] for c, w in adj)
+        dist: dict[int, int] = {}
+        via: dict[int, int] = {}
+        settled = []
+        heap: list[tuple[int, int]] = []
+        r, d = i, 0
         while True:
-            rid = parent_v[vid]
-            came_from = match_rv.get(rid)
-            match_rv[rid] = vid
-            match_vr[vid] = rid
-            if came_from is None:
+            base = d - u[r]
+            for c, w in rows[r]:
+                nd = base + w - v[c]
+                if c not in dist or nd < dist[c]:
+                    dist[c] = nd
+                    via[c] = r
+                    heapq.heappush(heap, (nd, c))
+            d, c = heapq.heappop(heap)
+            while d != dist[c]:
+                d, c = heapq.heappop(heap)
+            r = row_of[c]
+            if r < 0:
                 break
-            vid = came_from
+            settled.append(c)
+        for j in settled:
+            slack = d - dist[j]
+            v[j] -= slack
+            u[row_of[j]] += slack
+        u[i] += d
+        while True:
+            r = via[c]
+            row_of[c], col_at[r], c = r, c, col_at[r]
+            if r == i:
+                break
+
+    vehicle_ids = list(col_of)
+    return {request_ids[r]: vehicle_ids[c] for r, c in enumerate(col_at) if c < n_cols}
 
 
 def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
@@ -484,8 +481,9 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     weights stay exact however many edges a batch has.
 
     With frozen=True a commitment is the only allowed edge of its vehicle
-    and of its request. The matcher only ever adds requests to its
-    matching, so it keeps every commitment and optimizes the rest.
+    and of its request, and it weighs less than 0, so the least-weight
+    matching keeps every commitment and optimizes the rest. The edges go
+    to the matcher in rank order, so requests enter it in id order.
     """
     ranked, _ = _ranked_choices(graph, frozen)
     bits_e = len(ranked)

@@ -5,7 +5,9 @@ times. It is immutable after construction: all query methods are pure
 and safe to call from anywhere. Distances live in one store for every
 size: a node's row (its times to every node) and its column (every
 node's time to it) are each filled by one Dijkstra run the first time a
-query needs them, and kept.
+query needs them, and kept. On a network whose every edge runs both ways
+at one time, such as a grid, a node's column is its row and is filled
+once.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ class Network:
             for row in rows:
                 row.sort()
         self._edge_count = len(cheapest)
-        # rows[i][j] and cols[j][i] both hold the time from node i to node j
+        # rows[i][j] and cols[j][i] both hold the time from node i to node j;
+        # when every edge runs both ways at one time, a node's column is its row
         self._rows: list[list[int] | None] = [None] * n
-        self._cols: list[list[int] | None] = [None] * n
+        self._cols: list[list[int] | None] = self._rows if self._adj == self._radj else [None] * n
         self._check_strongly_connected()
 
     # -- construction helpers -------------------------------------------------
@@ -231,19 +234,30 @@ class Network:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
     def _dijkstra(self, adj: list[list[tuple[int, int]]], source: int) -> list[int]:
+        # Dial's buckets: the nodes last given each tentative distance,
+        # and a heap of only the distinct distances still pending. A node
+        # whose distance fell since it joined a bucket is skipped there.
         n = len(self._nodes)
         dist: list[int] = [_INF] * n
         dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, t in adj[u]:
-                nd = d + t
-                if dist[v] is _INF or nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+        buckets = {0: [source]}
+        pending = [0]
+        while pending:
+            d = heapq.heappop(pending)
+            for u in buckets.pop(d):
+                if dist[u] != d:
+                    continue
+                for v, t in adj[u]:
+                    nd = d + t
+                    old = dist[v]
+                    if old is _INF or nd < old:
+                        dist[v] = nd
+                        bucket = buckets.get(nd)
+                        if bucket is None:
+                            buckets[nd] = [v]
+                            heapq.heappush(pending, nd)
+                        else:
+                            bucket.append(v)
         return dist
 
     def _dist_from(self, source_idx: int) -> list[int]:

@@ -7,7 +7,9 @@ enumeration under the same objective and tie rules as the library's
 solvers, so the tests can compare the two answers. The pooling oracle
 applies frozen commitments and builds its answer with its own code,
 `oracle_options` and `_oracle_solution`, so that a fault in the
-library's versions cannot pass unseen. `retained_route` and
+library's versions cannot pass unseen. `least_weight_violation`
+certifies any answer of the matcher, of any size, as a least-weight
+matching of its weights. `retained_route` and
 `candidate_route` schedule the routes hailing keeps and offers straight
 from `schedule_stops`, apart from the graph builder's own plan code.
 `late_assignments` reads an event log for requests accepted late.
@@ -282,6 +284,46 @@ def priority_matching_oracle(
         if value[3][i] == 0:
             pairs[rid] = vehicle_ids[value[4][i]]
     return (-value[0], -value[1], value[2], pairs)
+
+
+def least_weight_violation(
+    weights: Mapping[tuple[int, int], int], matching: Mapping[int, int]
+) -> str | None:
+    """Why `matching` is not a least-weight matching of `weights`, or None.
+
+    The matching is modelled as a unit circulation s → request → vehicle
+    → t → s whose cost is its weight, an unmatched request costing 0. It
+    is of least weight if and only if its residual graph has no negative
+    cycle (Ahuja, Magnanti and Orlin, "Network Flows", 1993), which
+    Bellman-Ford from a virtual root finds. The check reads only the
+    weights and the answer, never the solver.
+    """
+    for rid, vid in matching.items():
+        if (rid, vid) not in weights:
+            return f"request {rid} is matched to vehicle {vid} without an edge"
+    taken = set(matching.values())
+    if len(taken) != len(matching):
+        return "a vehicle is matched twice"
+    arcs = [("t", "s", 0), ("s", "t", 0)]
+    for (rid, vid), w in weights.items():
+        if matching.get(rid) == vid:
+            arcs.append((("v", vid), ("r", rid), -w))
+        else:
+            arcs.append((("r", rid), ("v", vid), w))
+    for rid in {rid for rid, _ in weights}:
+        arcs.append((("r", rid), "s", 0) if rid in matching else ("s", ("r", rid), 0))
+    for vid in {vid for _, vid in weights}:
+        arcs.append(("t", ("v", vid), 0) if vid in taken else (("v", vid), "t", 0))
+    dist = {node: 0 for arc in arcs for node in arc[:2]}
+    for _ in dist:
+        changed = False
+        for a, b, cost in arcs:
+            if dist[a] + cost < dist[b]:
+                dist[b] = dist[a] + cost
+                changed = True
+        if not changed:
+            return None
+    return "its residual graph has a negative cycle"
 
 
 

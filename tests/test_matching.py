@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleetsim import matching
+from fleetsim.engine import Reassignment
 from fleetsim.matching import (
     Bundle,
     MatchingError,
@@ -29,7 +33,15 @@ from fleetsim.model import (
 )
 from fleetsim.network import Network, grid_node
 from fleetsim.pooling import solve_pooling
-from oracles import candidate_route, priority_matching_oracle, retained_route, route_feasible
+from fleetsim.scenario import twin_run
+from oracles import (
+    candidate_route,
+    least_weight_violation,
+    priority_matching_oracle,
+    retained_route,
+    route_feasible,
+)
+from test_acceptance import hailing_cfg
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
 
@@ -241,6 +253,84 @@ def test_empty_problem():
     assert solution.value == (0, 0, 0)
     solution = solve_hailing(make_graph([3], [5], {}))
     assert solution.unassigned == [3]
+
+
+# -- the matcher's contract ------------------------------------------------------
+
+
+def recording_matcher(monkeypatch):
+    """Wrap the matcher; returns the list of (weights, matching) it sees."""
+    calls = []
+    solve = matching._min_cost_matching
+
+    def recorded(weights):
+        out = solve(weights)
+        calls.append((weights, out))
+        return out
+
+    monkeypatch.setattr(matching, "_min_cost_matching", recorded)
+    return calls
+
+
+def test_matcher_leaves_out_positive_weight_edges():
+    assert matching._min_cost_matching({(1, 1): 5}) == {}
+    # {2: 2} weighs -3, less than {2: 1} at -1 or {1: 1, 2: 2} at 2
+    weights = {(1, 1): 5, (2, 1): -1, (2, 2): -3, (3, 2): 2}
+    assert matching._min_cost_matching(weights) == {2: 2}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-15, 15), max_size=30
+    )
+)
+def test_matcher_returns_a_least_weight_matching(weights):
+    # ties included: any least-weight matching passes the certificate
+    assert least_weight_violation(weights, matching._min_cost_matching(weights)) is None
+
+
+def test_a_complete_singleton_graph_is_matched_exactly_and_fast(monkeypatch):
+    calls = recording_matcher(monkeypatch)
+    rng = random.Random(20)
+    costs = {(r, v): rng.randint(1, 29) for r in range(20) for v in range(100, 120)}
+    graph = make_graph(range(20), range(100, 120), costs)
+    start = time.perf_counter()
+    solution = solve_hailing(graph)
+    elapsed = time.perf_counter() - start
+    assert solution.assigned_count == 20
+    assert least_weight_violation(*calls[0]) is None
+    # a few milliseconds in practice; the bound leaves room for a slow host
+    assert elapsed < 2.0
+
+
+def test_every_hailing_batch_of_twin_runs_is_certified(monkeypatch):
+    """Each batch's answer is least-weight, so with the packed weights'
+    unique optimum it is also the canonical one; and the certificate
+    rejects a matching with one pair dropped or two riders swapped."""
+    calls = recording_matcher(monkeypatch)
+    for seed in (1000, 1001):
+        cfg = hailing_cfg(seed)
+        for reassignment in Reassignment:
+            for interval in (1, 2, 3):
+                engine = replace(cfg.engine, reassignment=reassignment, batch_interval=interval)
+                twin_run(replace(cfg, engine=engine))
+    assert len(calls) > 1000
+    assert [out for weights, out in calls if least_weight_violation(weights, out)] == []
+
+    # a batch in which riders r1 and r2 could trade vehicles v1 and v2
+    weights, out, (r1, v1), (r2, v2) = next(
+        (weights, out, a, b)
+        for weights, out in calls
+        for a in out.items()
+        for b in out.items()
+        if a[0] < b[0] and (a[0], b[1]) in weights and (b[0], a[1]) in weights
+    )
+    dropped = dict(out)
+    del dropped[r1]
+    assert least_weight_violation(weights, dropped) is not None
+    swapped = {**out, r1: v2, r2: v1}
+    assert least_weight_violation(weights, swapped) is not None
 
 
 # -- graph construction on a street grid ---------------------------------------

@@ -285,10 +285,17 @@ def test_shortest_path_deterministic_across_instances():
 
 @st.composite
 def query_orders(draw):
-    """A random strong network, a list of queries, and a second order of them."""
+    """A random strong network, a list of queries, and a second order of them.
+
+    The network is directed or has every edge both ways at one time (so
+    each node's column is its row), with edge times up to 4 or up to 1,000.
+    """
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(2, 30))
-    edges = random_strong_network(rng, n, draw(st.integers(0, 2 * n)), max_time=4)
+    max_time = draw(st.sampled_from([4, 1000]))
+    edges = random_strong_network(rng, n, draw(st.integers(0, 2 * n)), max_time=max_time)
+    if draw(st.booleans()):
+        edges += [(v, u, t) for u, v, t in edges]
     node = st.integers(0, n - 1)
     query = st.one_of(
         st.tuples(st.just("travel_time"), node, node),
