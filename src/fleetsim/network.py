@@ -234,30 +234,19 @@ class Network:
             raise UnknownNodeError(f"unknown node id {node!r}")
 
     def _dijkstra(self, adj: list[list[tuple[int, int]]], source: int) -> list[int]:
-        # Dial's buckets: the nodes last given each tentative distance,
-        # and a heap of only the distinct distances still pending. A node
-        # whose distance fell since it joined a bucket is skipped there.
         n = len(self._nodes)
         dist: list[int] = [_INF] * n
         dist[source] = 0
-        buckets = {0: [source]}
-        pending = [0]
-        while pending:
-            d = heapq.heappop(pending)
-            for u in buckets.pop(d):
-                if dist[u] != d:
-                    continue
-                for v, t in adj[u]:
-                    nd = d + t
-                    old = dist[v]
-                    if old is _INF or nd < old:
-                        dist[v] = nd
-                        bucket = buckets.get(nd)
-                        if bucket is None:
-                            buckets[nd] = [v]
-                            heapq.heappush(pending, nd)
-                        else:
-                            bucket.append(v)
+        heap = [(0, source)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, t in adj[u]:
+                nd = d + t
+                if dist[v] is _INF or nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
         return dist
 
     def _dist_from(self, source_idx: int) -> list[int]:
