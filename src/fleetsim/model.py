@@ -89,6 +89,10 @@ class Request:
         request_time: submission time.
         max_wait: longest acceptable wait for pickup, positive.
         max_ride: longest acceptable pickup-to-dropoff time.
+
+    Once a request is in a state its origin, destination, request time
+    and limits never change: pooling reuses route searches across
+    batches on that basis.
     """
 
     id: int
@@ -290,6 +294,8 @@ class SystemState:
     _index: StatusIndex = field(
         default_factory=StatusIndex, init=False, repr=False, compare=False
     )
+    # the last pooling graph build's route searches, which the next may carry
+    _searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add_request(self, request: Request) -> None:
         if request.id in self.requests:

@@ -6,7 +6,10 @@ when all of its sub-bundles proved workable, and each carries the
 cheapest feasible visit sequence per candidate vehicle, scheduled only
 when its route is read. A vehicle with nobody on board serves a lone
 request as in single-rider mode, priced by `single_rider_plans`;
-`best_route` searches the rest. An exact dynamic program over the
+`best_route` searches the rest. A search carries to the next batch if
+the vehicle moved no faster than the network allows and the route's
+first arrival holds: no visit order then arrives earlier, and the move
+shifts every order's cost alike. An exact dynamic program over the
 vehicles then picks at most one bundle per vehicle, covering each
 request at most once, under the single-rider mode's priority rule
 (`matching._ranked_choices`), with ties broken by choice rank alone,
@@ -41,99 +44,72 @@ def divertable_vehicles(
 
 
 def best_route(
-    vehicle: Vehicle,
-    members,
-    now: int,
-    net: Network,
-    requests,
-    weights: CostWeights,
+    vehicle: Vehicle, members, now: int, net: Network, requests, weights: CostWeights
 ) -> tuple[list[tuple[int, tuple, tuple]], int] | None:
     """Cheapest feasible plan serving the bundle plus everyone on board.
 
-    Searches stop sequences depth first with running lower bounds on
-    every pending deadline and ride limit. Among equal-cost sequences
-    the first in visit order (by request id, dropoffs before pickups)
-    wins, so the result is deterministic for a given state.
+    Searches stop sequences depth first over one list of pending stops
+    in visit order (by request id; a pickup is replaced in place by its
+    dropoff), leaving a branch once a pending stop is out of reach in
+    time. The first of equal-cost sequences in visit order wins, so the
+    result is deterministic for a given state. `build_rtv_graph` reuses
+    a result at the next batch when the vehicle's move lets no visit
+    order arrive earlier and the route's first arrival holds.
 
     Returns the winning (node, pickups, dropoffs) visits, to be driven
     from `plan_start(vehicle, now)`, with their `route_cost`, or None.
     """
-    start_node, start_time = plan_start(vehicle, now)
-    boarded: dict[int, int] = {}
-    for rid in sorted(vehicle.onboard):
-        pickup = requests[rid].pickup_time
-        if pickup is None:
+    node, time = plan_start(vehicle, now)
+    drive, wait, ride = weights.drive, weights.wait, weights.ride
+    # pending stops in visit order: (request id, is pickup, node, latest
+    # arrival, time its cost runs from, weight of that time)
+    stops = []
+    for rid in sorted(set(members) | vehicle.onboard):
+        request, pickup = requests[rid], requests[rid].pickup_time
+        if rid not in vehicle.onboard:
+            stops.append((rid, True, request.origin, request.latest_pickup, request.request_time, wait))
+        elif pickup is None:
             raise MatchingError(f"request {rid} on board without a pickup time")
-        boarded[rid] = pickup
-
+        else:
+            stops.append((rid, False, request.destination, pickup + request.max_ride, pickup, ride))
     best: list = [None, None]  # cost, visit sequence
 
-    def violates_bounds(node: int, time: int, picks, drops) -> bool:
-        for rid in picks:
-            if time + net.travel_time(node, requests[rid].origin) > requests[rid].latest_pickup:
-                return True
-        for rid in drops:
-            request = requests[rid]
-            if time + net.travel_time(node, request.destination) - boarded[rid] > request.max_ride:
-                return True
-        return False
-
-    def extend(node, time, picks, drops, load, visits, cost):
-        if best[0] is not None and cost > best[0]:
-            return
-        if not picks and not drops:
+    def extend(node, time, stops, legs, load, cost, visits):
+        if not stops:
             if best[0] is None or cost < best[0]:
-                best[0] = cost
-                best[1] = list(visits)
+                best[0], best[1] = cost, list(visits)
             return
-        options = sorted([(rid, 0) for rid in drops] + [(rid, 1) for rid in picks])
-        for rid, kind in options:
-            request = requests[rid]
-            if kind == 1:
-                if load >= vehicle.capacity:
-                    continue
-                target = request.origin
-                leg = net.travel_time(node, target)
-                arrival = time + leg
-                if arrival > request.latest_pickup:
-                    continue
-                boarded[rid] = arrival
-                step_cost = weights.drive * leg + weights.wait * (arrival - request.request_time)
-                next_picks = picks - {rid}
-                next_drops = drops | {rid}
-                if not violates_bounds(target, arrival, next_picks, next_drops):
-                    visits.append((target, (rid,), ()))
-                    extend(target, arrival, next_picks, next_drops, load + 1, visits, cost + step_cost)
-                    visits.pop()
-                del boarded[rid]
+        for i, (rid, pickup, target, _, since, weight) in enumerate(stops):
+            if pickup and load >= vehicle.capacity:
+                continue
+            arrival = time + legs[i]
+            total = cost + drive * legs[i] + weight * (arrival - since)
+            if best[0] is not None and total > best[0]:
+                continue
+            rest = stops[:]
+            if pickup:
+                request = requests[rid]
+                rest[i] = (rid, False, request.destination, arrival + request.max_ride, arrival, ride)
             else:
-                target = request.destination
-                leg = net.travel_time(node, target)
-                arrival = time + leg
-                if arrival - boarded[rid] > request.max_ride:
-                    continue
-                step_cost = weights.drive * leg + weights.ride * (arrival - boarded[rid])
-                next_drops = drops - {rid}
-                if not violates_bounds(target, arrival, picks, next_drops):
-                    visits.append((target, (), (rid,)))
-                    extend(target, arrival, picks, next_drops, load - 1, visits, cost + step_cost)
-                    visits.pop()
+                del rest[i]
+            ahead = []
+            for stop in rest:
+                leg = net.travel_time(target, stop[2])
+                if arrival + leg > stop[3]:
+                    break
+                ahead.append(leg)
+            else:
+                visit = ((target, (rid,), ()),) if pickup else ((target, (), (rid,)),)
+                extend(target, arrival, rest, ahead, load + (1 if pickup else -1), total, visits + visit)
 
-    picks = frozenset(members)
-    drops = frozenset(vehicle.onboard)
-    if violates_bounds(start_node, start_time, picks, drops):
-        return None
-    extend(start_node, start_time, picks, drops, len(vehicle.onboard), [], 0)
-    if best[0] is None:
-        return None
-    return best[1], best[0]
+    legs = [net.travel_time(node, stop[2]) for stop in stops]
+    if all(time + leg <= stop[3] for leg, stop in zip(legs, stops)):
+        extend(node, time, stops, legs, len(vehicle.onboard), 0, ())
+    return None if best[0] is None else (best[1], best[0])
 
 
 def build_rtv_graph(
-    state: SystemState,
-    net: Network,
-    now: int,
-    weights: CostWeights,
+    state: SystemState, net: Network, now: int, weights: CostWeights,
     max_bundle_size: int | None = None,
 ) -> RTVGraph:
     """Enumerate workable bundles and their vehicle edges for one batch.
@@ -145,17 +121,43 @@ def build_rtv_graph(
     vehicle whose kept plan is empty gets its single-rider edges from
     `single_rider_plans`; every other edge is `best_route`'s plan. Each
     edge holds its plan unscheduled, from the kept plan's start.
+
+    The state keeps this build's `best_route` results. The next build
+    reuses one if the vehicle's network, capacity, weights and riders
+    (id, pickup time) are the same, its start moved from (n, t) to
+    (n', t') with t' - t >= travel_time(n, n'), and the result is None
+    or keeps its first arrival, at drive * (t' - t) less: no order
+    arrives earlier, and each costs -drive * t' plus a factor shared by
+    all times its first arrival plus a part the move leaves alone. A
+    request's origin, destination, times and limits must never change.
     """
     if max_bundle_size is not None and max_bundle_size < 1:
         raise ValueError("max_bundle_size must be positive or None")
     kept = kept_plans(state, net, now, weights)
     reach = divertable_vehicles(state, net, kept)
     plans: dict[frozenset[int], dict] = {}
+    searches: dict[int, tuple] = {}  # id -> (net, capacity, weights, riders, start, results)
+    carried: dict[int, tuple] = {}  # id -> the last build's (start, results), where they hold
+    for vid, vehicle in state.vehicles.items():
+        riders = frozenset((rid, state.requests[rid].pickup_time) for rid in vehicle.onboard)
+        mine = searches[vid] = (net, vehicle.capacity, weights, riders, kept[vid].start, {})
+        last, (node, time) = state._searches.get(vid), kept[vid].start
+        # a move no faster than the network lets no visit order arrive earlier
+        if last and last[:4] == mine[:4] and time - last[4][1] >= net.travel_time(last[4][0], node):
+            carried[vid] = last[4:]
 
     def fit(members: frozenset[int], vids) -> dict:
         fits = {}
         for vid in vids:
-            found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
+            (node, time), results = searches[vid][4:]
+            (then_node, then), before = carried.get(vid, ((node, time), {}))
+            found = before.get(members, ())  # () where the last build did not search
+            first = found[0][0][0] if found else node
+            if found and time + net.travel_time(node, first) == then + net.travel_time(then_node, first):
+                found = (found[0], found[1] - weights.drive * (time - then))
+            elif found is not None:
+                found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
+            results[members] = found
             if found is not None:
                 fits[vid] = (partial(_plan, net, kept[vid].start, found[0]), found[1])
         return fits
@@ -174,8 +176,7 @@ def build_rtv_graph(
     size = 1
     while level and (max_bundle_size is None or size < max_bundle_size):
         size += 1
-        seen: set[frozenset[int]] = set()
-        grown: list[frozenset[int]] = []
+        seen, grown = set(), []
         for i, left in enumerate(level):
             for right in level[i + 1:]:
                 union = left | right
@@ -185,15 +186,14 @@ def build_rtv_graph(
                 subsets = [union - {rid} for rid in sorted(union)]
                 if any(sub not in plans for sub in subsets):
                     continue
-                shared = set(plans[subsets[0]])
-                for sub in subsets[1:]:
-                    shared &= set(plans[sub])
+                shared = set(plans[subsets[0]]).intersection(*(plans[sub] for sub in subsets[1:]))
                 fits = fit(union, sorted(shared))
                 if fits:
                     plans[union] = fits
                     grown.append(union)
         level = grown
 
+    state._searches = searches
     return assemble_graph(state, list(reach), plans, kept)
 
 

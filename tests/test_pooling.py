@@ -7,11 +7,13 @@ import itertools
 import random
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from fleetsim import pooling
 from fleetsim.engine import EngineConfig, Mode, Reassignment
 from fleetsim.matching import MatchingError, _ranked_choices, kept_plans, solve_hailing
 from fleetsim.model import (
@@ -38,6 +40,7 @@ from fleetsim.pooling import (
 from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
 from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
 from test_acceptance import pooling_cfg
+from test_network import random_strong_network
 from test_pinned_logs import _directed_grid
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
@@ -146,28 +149,24 @@ def _route_signature(route):
     return [(s.location, tuple(sorted(s.pickups)), tuple(sorted(s.dropoffs)), s.planned_arrival) for s in route.stops]
 
 
+def _visit_orders(pending):
+    """Every order of the (request id, kind) visits with each pickup (kind 1) before its dropoff."""
+    if not pending:
+        yield ()
+    for i, (rid, kind) in enumerate(pending):
+        rest = pending[:i] + pending[i + 1:] + ([(rid, 0)] if kind == 1 else [])
+        for tail in _visit_orders(rest):
+            yield ((rid, kind),) + tail
+
+
 def brute_force_route(vehicle, members, now, net, requests, weights):
     """Independent reference: try every visit order outright."""
-    visits = []
-    for rid in sorted(members):
-        visits.append((rid, 1))
-        visits.append((rid, 0))
-    for rid in sorted(vehicle.onboard):
-        visits.append((rid, 0))
-    best = None
-    from fleetsim.model import plan_start, schedule_stops
-
+    pending = [(rid, 1) for rid in sorted(members)] + [(rid, 0) for rid in sorted(vehicle.onboard)]
     node, time = plan_start(vehicle, now)
-    for perm in itertools.permutations(visits):
-        ok = True
-        for rid in members:
-            if perm.index((rid, 1)) > perm.index((rid, 0)):
-                ok = False
-                break
-        if not ok:
-            continue
+    best = None
+    for order in _visit_orders(pending):
         specs = []
-        for rid, kind in perm:
+        for rid, kind in order:
             if kind == 1:
                 specs.append((requests[rid].origin, (rid,), ()))
             else:
@@ -177,7 +176,7 @@ def brute_force_route(vehicle, members, now, net, requests, weights):
         if not feasible:
             continue
         cost = route_cost(route, vehicle, now, weights, requests)
-        key = (cost, perm)
+        key = (cost, order)
         if best is None or key < best[0]:
             best = (key, route)
     if best is None:
@@ -186,40 +185,54 @@ def brute_force_route(vehicle, members, now, net, requests, weights):
 
 
 def test_best_route_agrees_with_permutation_search():
-    net = Network.build_grid(5, 5)
+    agrees_with_permutation_search(Network.build_grid(5, 5), slack=1)
+
+
+def test_best_route_agrees_with_permutation_search_on_a_directed_grid(tmp_path):
+    net = Network.load_edge_list(_directed_grid(tmp_path / "directed.txt", 5, 5, seed=19))
+    agrees_with_permutation_search(net, slack=2)
+
+
+def agrees_with_permutation_search(net, slack):
+    """`best_route` against `brute_force_route`; `slack` scales the random limits."""
     rng = random.Random(20260818)
+    nodes = list(net.nodes)
     found = 0
-    for trial in range(90):
-        nodes = list(net.nodes)
+    for trial in range(150):
+        # zero weights make equal-cost orders common, so the visit-order rule decides
+        weights = CostWeights(rng.randrange(4), rng.randrange(4), rng.randrange(4))
         vehicle = Vehicle(
             id=0,
-            capacity=rng.randrange(1, 4),
+            capacity=rng.randrange(1, 5),
             position=rng.choice(nodes),
             free_at=rng.randrange(0, 2),
         )
         requests = {}
-        if rng.random() < 0.4:
-            origin, destination = rng.sample(nodes, 2)
-            rider = make_request(9, origin, destination, max_ride=net.travel_time(origin, destination) + rng.randrange(0, 5))
+        for rid in range(8, 8 + rng.choice([0, 0, 1, 2])):
+            destination = rng.choice([n for n in nodes if n != vehicle.position])
+            requests[rid] = rider = make_request(
+                rid,
+                vehicle.position,
+                destination,
+                max_ride=vehicle.free_at + net.travel_time(vehicle.position, destination)
+                + slack * rng.randrange(0, 5),
+            )
             rider.assign(0)
             rider.board(0)
-            rider.pickup_time = 0
-            vehicle.onboard.add(9)
-            vehicle.position = origin
-            requests[9] = rider
+            vehicle.onboard.add(rid)
         members = set()
-        for rid in range(1, rng.randrange(2, 4)):
+        for rid in range(1, rng.randrange(2, 5)):
             origin, destination = rng.sample(nodes, 2)
             requests[rid] = make_request(
                 rid,
                 origin,
                 destination,
-                max_wait=rng.randrange(3, 8),
-                max_ride=net.travel_time(origin, destination) + rng.randrange(0, 5),
+                max_wait=slack * rng.randrange(4, 12),
+                max_ride=net.travel_time(origin, destination) + slack * rng.randrange(0, 6),
             )
             members.add(rid)
-        got = planned(vehicle, members, 0, net, requests, _W)
-        want = brute_force_route(vehicle, members, 0, net, requests, _W)
+        got = planned(vehicle, members, 0, net, requests, weights)
+        want = brute_force_route(vehicle, members, 0, net, requests, weights)
         if want is None:
             assert got is None
             continue
@@ -227,7 +240,18 @@ def test_best_route_agrees_with_permutation_search():
         assert got is not None
         assert got[1] == want[1]
         assert _route_signature(got[0]) == _route_signature(want[0])
-    assert found >= 25
+    assert found >= 50
+
+
+def test_best_route_empty_bundle_and_rider_without_pickup_time():
+    net = Network.build_grid(5, 5)
+    idle = Vehicle(id=0, capacity=2, position=grid_node(5, 2, 2), free_at=3)
+    assert best_route(idle, set(), 1, net, {}, _W) == ([], 0)
+    rider = make_request(9, grid_node(5, 2, 2), grid_node(5, 4, 4))
+    rider.assign(0)  # on board, yet never boarded
+    loaded = Vehicle(id=0, capacity=2, position=grid_node(5, 2, 2), onboard={9})
+    with pytest.raises(MatchingError, match="request 9 on board without a pickup time"):
+        best_route(loaded, set(), 0, net, {9: rider}, _W)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -371,6 +395,233 @@ def test_rtv_edges_are_best_route_plans_on_short_runs(reassignment):
     assert edges["riderless", 1] >= 1000
     assert edges["riders on board", 1] >= 500
     assert edges["riders on board", 2] + edges["riderless", 2] >= 100
+
+
+# -- searches carried to the next batch ----------------------------------------------
+
+
+@contextmanager
+def searches_logged():
+    """Log each ((vehicle id, members), result) of the searches `build_rtv_graph` runs."""
+    calls = []
+    real = pooling.best_route
+
+    def logged(vehicle, members, *rest):
+        found = real(vehicle, members, *rest)
+        calls.append(((vehicle.id, frozenset(members)), found))
+        return found
+
+    pooling.best_route = logged
+    try:
+        yield calls
+    finally:
+        pooling.best_route = real
+
+
+def _graph_edges(graph):
+    return {
+        (graph.members(bid), vid): (edge.cost + graph.baseline_cost[vid], edge.route)
+        for (bid, vid), edge in graph.edges.items()
+    }
+
+
+@st.composite
+def carry_cases(draw):
+    """A network, a state's vehicles (with riders) and open requests, and weights."""
+    if draw(st.booleans()):  # a 4x4 grid, each direction of a street 1-3 long
+        edges = []
+        for a, b in [(a, a + 1) for a in range(16) if a % 4 < 3] + [(a, a + 4) for a in range(12)]:
+            edges += [(a, b, draw(st.integers(1, 3))), (b, a, draw(st.integers(1, 3)))]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        edges = random_strong_network(rng, draw(st.integers(4, 12)), draw(st.integers(0, 16)), 3)
+    net = Network(edges)
+    node = st.sampled_from(sorted(net.nodes))
+    now, rid, vehicles, requests = 3, 0, [], []
+    for vid in range(draw(st.integers(1, 2))):
+        position, riders = draw(node), []
+        for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+            rid += 1
+            origin, destination = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+            pickup = draw(st.integers(0, now))
+            max_ride = now - pickup + net.travel_time(position, destination) + draw(st.integers(1, 6))
+            riders.append((rid, origin, destination, pickup, max_ride))
+        vehicles.append((vid, draw(st.integers(1, 4)), position, draw(st.integers(0, 5)), riders))
+    for _ in range(draw(st.integers(1, 4))):
+        rid += 1
+        origin, destination = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+        slack = draw(st.integers(0, 4))
+        requests.append((rid, origin, destination, draw(st.integers(0, now)), draw(st.integers(2, 10)),
+                         net.travel_time(origin, destination) + slack))
+    weights = CostWeights(*draw(st.tuples(*[st.integers(0, 3)] * 3)))
+    return net, now, vehicles, requests, weights
+
+
+def carry_state(now, vehicles, requests):
+    """Build the state a `carry_cases` example describes."""
+    state = SystemState(now=now)
+    for vid, capacity, position, free_at, riders in vehicles:
+        stops = []
+        for rid, origin, destination, pickup, max_ride in riders:
+            rider = make_request(rid, origin, destination, max_wait=10, max_ride=max_ride)
+            state.add_request(rider)
+            rider.assign(vid)
+            rider.board(pickup)
+            stops.append(Stop(destination, frozenset(), frozenset({rid}), 0))
+        route = Route(tuple(stops)) if stops else None
+        state.add_vehicle(Vehicle(vid, capacity, position, free_at, {r[0] for r in riders}, route))
+    for rid, origin, destination, request_time, max_wait, max_ride in requests:
+        state.add_request(make_request(rid, origin, destination, request_time, max_wait, max_ride))
+    return state
+
+
+def carried_by_rule(first, starts, state, net, now, weights):
+    """What the carry rule keeps of the first build's searches, worked out here."""
+    kept = {}
+    for (vid, members), found in first:
+        (node, time), (later_node, later) = starts[vid], plan_start(state.vehicles[vid], now)
+        if later - time < net.travel_time(node, later_node):
+            continue
+        if found is None:
+            kept[vid, members] = None
+        elif later + net.travel_time(later_node, found[0][0][0]) == time + net.travel_time(
+            node, found[0][0][0]
+        ):
+            kept[vid, members] = (found[0], found[1] - weights.drive * (later - time))
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(carry_cases(), st.data())
+def test_rtv_graph_carries_exactly_the_searches_a_move_cannot_change(case, data):
+    net, now, vehicles, requests, weights = case
+    state = carry_state(now, vehicles, requests)
+    with searches_logged() as first:
+        build_rtv_graph(state, net, now, weights)
+    starts = {vid: plan_start(vehicle, now) for vid, vehicle in state.vehicles.items()}
+    nodes = sorted(net.nodes)
+    moves = {}
+    for vid, (node, time) in starts.items():
+        kind = data.draw(st.sampled_from(["stay", "hop", "hop", "anywhere", "too fast"]))
+        if kind == "stay":
+            moves[vid] = (node, time + data.draw(st.sampled_from([0, 0, 1, 2])))
+        elif kind == "hop":  # one edge toward the first stop of one of its routes
+            firsts = sorted({found[0][0][0] for (v, _), found in first if v == vid and found})
+            path = net.shortest_path(node, data.draw(st.sampled_from(firsts or nodes))).node_sequence
+            to = path[min(1, len(path) - 1)]
+            moves[vid] = (to, time + net.travel_time(node, to))
+        elif kind == "anywhere":
+            to = data.draw(st.sampled_from(nodes))
+            moves[vid] = (to, time + net.travel_time(node, to) + data.draw(st.integers(0, 2)))
+        else:
+            to = data.draw(st.sampled_from([n for n in nodes if n != node]))
+            moves[vid] = (to, time + net.travel_time(node, to) - data.draw(st.integers(1, 2)))
+    later = now + data.draw(st.sampled_from([0, 0, 1, 2]))
+    arrival = data.draw(st.none() | st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)))
+
+    def advance(state):
+        for vid, (to, at) in moves.items():
+            state.vehicles[vid].position, state.vehicles[vid].free_at = to, at
+        if arrival is not None and arrival[0] != arrival[1]:
+            state.add_request(make_request(99, *arrival, request_time=later, max_wait=6, max_ride=20))
+        return state
+
+    fresh = advance(carry_state(now, vehicles, requests))
+    with searches_logged() as want:
+        fresh_graph = build_rtv_graph(fresh, net, later, weights)
+    with searches_logged() as got:
+        graph = build_rtv_graph(advance(state), net, later, weights)
+    tried = dict(want)
+    kept = carried_by_rule(first, starts, state, net, later, weights)
+    # every search the rule cannot carry runs once, and no other
+    assert Counter(key for key, _ in got) == Counter(key for key in tried if key not in kept)
+    for key in tried.keys() & kept.keys():
+        assert kept[key] == tried[key]
+        event("carried a route" if kept[key] else "carried no route")
+    assert _graph_edges(graph) == _graph_edges(fresh_graph)
+
+
+def _rider_state(net):
+    """Vehicle 0 with rider 9 on board and two open requests near it."""
+    state = SystemState(now=1)
+    rider = make_request(9, grid_node(5, 0, 0), grid_node(5, 4, 1), max_wait=10, max_ride=12)
+    state.add_request(rider)
+    rider.assign(0)
+    rider.board(0)
+    route = Route((Stop(grid_node(5, 4, 1), frozenset(), frozenset({9}), 0),))
+    state.add_vehicle(Vehicle(0, 3, grid_node(5, 1, 1), 1, {9}, route))
+    state.add_request(make_request(1, grid_node(5, 2, 1), grid_node(5, 3, 3), 1, 5, 8))
+    state.add_request(make_request(2, grid_node(5, 1, 2), grid_node(5, 4, 2), 1, 5, 8))
+    return state
+
+
+def test_rtv_graph_carries_searches_while_nothing_changes_their_answer():
+    net = Network.build_grid(5, 5)
+    state = _rider_state(net)
+    with searches_logged() as first:
+        build_rtv_graph(state, net, 1, _W)
+    assert len(first) == 3  # both singletons and the pair
+    with searches_logged() as again:
+        graph = build_rtv_graph(state, net, 1, _W)
+    assert again == []
+    with searches_logged() as fresh:
+        assert _graph_edges(graph) == _graph_edges(build_rtv_graph(_rider_state(net), net, 1, _W))
+    assert len(fresh) == 3
+
+    # one hop toward the first stop keeps every route that starts there
+    plans = {members: found for (_, members), found in first}
+    target = plans[frozenset({1})][0][0][0]
+    hop = net.shortest_path(grid_node(5, 1, 1), target).node_sequence[1]
+    state.vehicles[0].position, state.vehicles[0].free_at = hop, 2
+    with searches_logged() as moved:
+        graph = build_rtv_graph(state, net, 2, _W)
+    carried = [m for m, found in plans.items() if found and found[0][0][0] == target]
+    assert carried and {members for (_, members), _ in moved} == set(plans) - set(carried)
+    for (bid, vid), edge in graph.edges.items():
+        route, cost = planned(state.vehicles[vid], graph.members(bid), 2, net, state.requests, _W)
+        assert (edge.route, edge.cost + graph.baseline_cost[vid]) == (route, cost)
+
+
+def _perturb(name, state, net):
+    """Change one input of vehicle 0's searches; returns the network and weights to build with."""
+    vehicle = state.vehicles[0]
+    if name == "faster than the network":
+        vehicle.position = grid_node(5, 2, 1)  # a step away, at the same time
+    elif name == "on-board set":
+        rider = make_request(10, grid_node(5, 1, 0), grid_node(5, 0, 3), max_wait=10, max_ride=12)
+        state.add_request(rider)
+        rider.assign(0)
+        rider.board(1)
+        vehicle.onboard.add(10)
+        drop = Stop(grid_node(5, 0, 3), frozenset(), frozenset({10}), 0)
+        vehicle.route = Route(vehicle.route.stops + (drop,))
+    elif name == "pickup time":
+        state.requests[9].pickup_time = 1
+    elif name == "capacity":
+        vehicle.capacity = 4
+    elif name == "weights":
+        return net, CostWeights(1, 2, 1)
+    elif name == "network":
+        return Network.build_grid(5, 5), _W
+    return net, _W
+
+
+@pytest.mark.parametrize(
+    "name", ["faster than the network", "on-board set", "pickup time", "capacity", "weights", "network"]
+)
+def test_rtv_graph_searches_again_when_an_input_changes(name):
+    net = Network.build_grid(5, 5)
+    state = _rider_state(net)
+    build_rtv_graph(state, net, 1, _W)
+    net_after, weights = _perturb(name, state, net)
+    with searches_logged() as got:
+        graph = build_rtv_graph(state, net_after, 1, weights)
+    fresh = _rider_state(net)
+    _perturb(name, fresh, net)
+    with searches_logged() as want:
+        fresh_graph = build_rtv_graph(fresh, net_after, 1, weights)
+    assert want and Counter(key for key, _ in got) == Counter(key for key, _ in want)
+    assert _graph_edges(graph) == _graph_edges(fresh_graph)
 
 
 def test_divertable_vehicles_boundary_and_commitment_blindness():
