@@ -13,14 +13,13 @@ priced by arithmetic from where, when and at what cost each kept plan
 ends (`single_rider_plans`). In both modes an edge's plan is scheduled
 only when someone reads it, in practice only for the chosen edges. The
 solution carries every vehicle's next route: its chosen edge's, or else
-its kept plan's. Both exact solvers take one priority rule
+its kept plan's. Both exact solvers take one priority and tie rule
 (`_ranked_choices`): it filters the (bundle, vehicle) choices a frozen
-batch allows, ranks them by a canonical tie key, and prices each so that
-a lesser sum drops fewer previously promised requests, then serves more
-requests, then adds less cost over the kept plans. A hailing batch is
-solved as a least-weight matching on those priorities, with ties broken
-by lowest request id, then by choice rank, all packed into one integer
-per edge, so the same instance always yields the same assignment.
+batch allows, ranks them by a canonical tie key, and packs each into one
+integer so that a lesser sum drops fewer promised requests, then serves
+more, then adds less cost over the kept plans, then serves the lowest
+request ids, then holds the least-ranked choices. A hailing batch is its
+least-weight matching: the one optimum, which pooling's solver picks too.
 """
 
 from __future__ import annotations
@@ -301,29 +300,39 @@ def build_rv_graph(
 
 
 def _ranked_choices(graph: RTVGraph, frozen: bool):
-    """Every allowed (bundle, vehicle) choice, ranked and priced, and the
-    committed vehicles; the one priority rule of both exact solvers.
+    """Every allowed (bundle, vehicle) choice, ranked and weighed, and the
+    committed vehicles: the one priority and tie rule of both solvers.
 
     In frozen mode a vehicle holding commitments may only choose bundles
     that keep all of them, and no vehicle may take a request committed
     to another; a committed vehicle left without a choice raises
     MatchingError. The allowed choices are ranked by the tie key (sorted
-    members, vehicle id), and each is priced level·spread + cost, for
-    level = −(previously assigned members)·(R+1) − (members) over R open
-    requests and spread = 1 + Σ|cost| over the allowed choices. Spread
-    outweighs any cost difference and R+1 any count, so a lesser sum of
-    priorities keeps more previously assigned requests, then covers more
-    requests, then costs less.
+    members, vehicle id), and each weighs ((level·spread + cost) <<
+    (R+E)) − (mask << E) − 2^(E−1−rank) over R open requests and E
+    choices: level = −(previously assigned members)·(R+1) − (members),
+    spread = 1 + Σ|cost| over the choices, and the mask holds 2^(R−1−i)
+    for each member `graph.request_ids[i]`.
 
-    Returns [(vehicle id, bundle id, members as a bitmask over
-    `graph.request_ids`, priority)] in rank order, and the set of
-    vehicles holding commitments (empty unless frozen).
+    A solution's bundles are disjoint, so it totals P·2^(R+E) − S·2^E −
+    C, with S < 2^R the mask of the requests it serves and C < 2^E its
+    rank bits: totals compare as (P, −S, −C) do. Spread outweighs any
+    cost and R+1 any count, so a lesser total keeps more previously
+    assigned requests, then serves more, then costs less, then serves
+    the lowest request ids, then holds the least-ranked choice the other
+    lacks, which picks the least sorted chain (of two solutions serving
+    the same requests, each holds a choice the other lacks). Distinct
+    solutions never tie, deleting requests both leave out keeps their
+    order, and the unbounded integers stay exact at any size.
+
+    Returns [(vehicle id, bundle id, mask, weight)] in rank order, and
+    the vehicles holding commitments (empty unless frozen).
     """
     promised = {rid: vid for rid, vid in graph.prev_assigned.items() if vid is not None}
     owner = promised if frozen else {}
     owed = Counter(owner.values())
-    scale = len(graph.request_ids) + 1
-    bit = {rid: 1 << i for i, rid in enumerate(graph.request_ids)}
+    n_requests = len(graph.request_ids)
+    scale = n_requests + 1
+    bit = {rid: 1 << (n_requests - 1 - i) for i, rid in enumerate(graph.request_ids)}
     # per bundle: (tie key, mask, level, the owners of its commitments)
     about = []
     for bundle in graph.bundles:
@@ -350,7 +359,11 @@ def _ranked_choices(graph: RTVGraph, frozen: bool):
         )
     allowed.sort()
     spread = 1 + sum(abs(choice[5]) for choice in allowed)
-    ranked = [(vid, bid, mask, level * spread + cost) for _, vid, bid, mask, level, cost in allowed]
+    low = len(allowed)  # the rank bits
+    ranked = [
+        (vid, bid, mask, ((level * spread + cost) << (n_requests + low)) - (mask << low) - (1 << (low - 1 - rank)))
+        for rank, (_, vid, bid, mask, level, cost) in enumerate(allowed)
+    ]
     return ranked, set(owed)
 
 
@@ -470,32 +483,17 @@ def solve_hailing(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     lower request ids and pairing each with the lowest workable vehicle
     id, so equal instances resolve equally.
 
-    Each allowed edge weighs one integer, (priority << (R+E)) −
-    2^(R+E−1−rank of its request) − 2^(E−1−rank of the edge), for R
-    request ids, E allowed edges ranked by (request, vehicle), and the
-    priority `_ranked_choices` gives it. A matching's total is
-    (Σpriority)·2^(R+E) − B·2^E − C, where B < 2^R sums the bits of its
-    distinct requests and C < 2^E those of its distinct edges, so totals
-    compare as the triples (Σpriority, −B, −C) do lexicographically, and
-    distinct matchings never tie. Python integers are unbounded, so the
-    weights stay exact however many edges a batch has.
+    Each allowed edge weighs the integer `_ranked_choices` gives its
+    choice, which packs the objective and the tie rule (see there), so
+    the least-weight matching is the one optimum `solve_pooling` returns
+    on the same graph.
 
     With frozen=True a commitment is the only allowed edge of its vehicle
     and of its request, and it weighs less than 0, so the least-weight
-    matching keeps every commitment and optimizes the rest. The edges go
-    to the matcher in rank order, so requests enter it in id order.
+    matching keeps every commitment and optimizes the rest. Each bundle
+    stands for its one request in the matcher, and the edges go to it in
+    rank order, so requests enter it in id order.
     """
     ranked, _ = _ranked_choices(graph, frozen)
-    bits_e = len(ranked)
-    bits = len(graph.request_ids) + bits_e
-    weights = {}
-    bundle_of = {}
-    for rank, (vid, bid, mask, priority) in enumerate(ranked):
-        (rid,) = graph.members(bid)
-        bundle_of[rid] = bid
-        rank_r = mask.bit_length() - 1  # a singleton's mask is 1 << its request's rank
-        weights[(rid, vid)] = (
-            (priority << bits) - (1 << (bits - 1 - rank_r)) - (1 << (bits_e - 1 - rank))
-        )
-    matching = _min_cost_matching(weights)
-    return _solution_from(graph, {vid: bundle_of[rid] for rid, vid in matching.items()})
+    matching = _min_cost_matching({(bid, vid): weight for vid, bid, _, weight in ranked})
+    return _solution_from(graph, {vid: bid for bid, vid in matching.items()})

@@ -146,6 +146,13 @@ class Network:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_edge_list(fh.read())
 
+    def __deepcopy__(self, memo=None) -> "Network":
+        # it never changes and its stores cache pure answers, so a copy is
+        # the network itself, and a copied state keeps sharing it
+        return self
+
+    __copy__ = __deepcopy__
+
     # -- queries --------------------------------------------------------------
 
     @property

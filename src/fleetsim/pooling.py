@@ -11,9 +11,8 @@ the vehicle moved no faster than the network allows and the route's
 first arrival holds: no visit order then arrives earlier, and the move
 shifts every order's cost alike. An exact dynamic program over the
 vehicles then picks at most one bundle per vehicle, covering each
-request at most once, under the single-rider mode's priority rule
-(`matching._ranked_choices`), with ties broken by choice rank alone,
-packed into one integer per choice.
+request at most once, under the single-rider mode's priority and tie
+rule (`matching._ranked_choices`), packed into one integer per choice.
 """
 
 from __future__ import annotations
@@ -202,18 +201,15 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
 
     The objective is lexicographic: keep previously assigned requests
     assigned, then cover as many requests as possible, then minimize
-    total incremental cost. Ties resolve by comparing the chosen
-    bundle contents and vehicles, so runs with the same alternatives
-    land on the same answer regardless of internal ordering.
+    total incremental cost. Among optima the solver prefers serving
+    lower request ids, then the least sorted chain of (members, vehicle)
+    choices, so runs with the same alternatives land on the same answer
+    regardless of internal ordering.
 
-    Each allowed (bundle, vehicle) choice weighs one integer,
-    (priority << E) − 2^(E−1−rank), for E choices ranked by the tie key
-    (sorted members, vehicle id) and the priority `_ranked_choices`
-    gives it. Totals compare as (kept previous, covered, cost) do, then
-    by rank bits: optima cover equally many requests, so none is a
-    prefix of another, and the least sorted chain is the one holding the
-    least-ranked choice the two do not share. Distinct solutions never
-    tie.
+    Each allowed (bundle, vehicle) choice weighs the integer
+    `_ranked_choices` gives it, which packs the objective and the tie
+    rule (see there); distinct solutions never tie, and on a singleton
+    graph the least total is the matching `solve_hailing` returns.
 
     A dynamic program over the vehicles with a bundle, fewest options
     first, finds the least total. Its states map the taken requests a
@@ -222,12 +218,10 @@ def solve_pooling(graph: RTVGraph, frozen: bool = False) -> AssignmentSolution:
     once.
     """
     ranked, committed = _ranked_choices(graph, frozen)
-    total = len(ranked)
     # per vehicle with a bundle: (requests as a bitmask, weight, bundle
     # id) per option; a vehicle with none has nothing to decide
     choices: dict[int, list[tuple[int, int, int | None]]] = {}
-    for rank, (vid, bid, mask, priority) in enumerate(ranked):
-        weight = (priority << total) - (1 << (total - 1 - rank))
+    for vid, bid, mask, weight in ranked:
         choices.setdefault(vid, []).append((mask, weight, bid))
     for vid, listed in choices.items():
         if vid not in committed:

@@ -13,7 +13,8 @@ Run from the repository root:
     python3 tests/log_sweep.py --check    # compare with tests/log_sweep.json
     python3 tests/log_sweep.py --record   # rewrite tests/log_sweep.json
 
-`--check` exits 1 and names the first run that differs. The file name
+`--check` lists every run that differs, with the parts that differ,
+then their count, and exits 1 if any does. The file name
 does not match `test_*.py`, so pytest does not collect it; a full sweep
 takes about two minutes on one core.
 """
@@ -83,16 +84,19 @@ def main(argv=None) -> int:
         return 0
     with open(REFERENCE, "r", encoding="utf-8") as fh:
         reference = json.load(fh)
-    seen = 0
+    seen = differing = 0
     for name, parts in sweep():
+        seen += 1
         want = reference.get(name)
         if want != parts:
+            differing += 1
             differ = sorted(k for k in parts if want is None or want.get(k) != parts[k])
-            print(f"first difference: {name} ({', '.join(differ)})")
-            return 1
-        seen += 1
+            print(f"differs: {name} ({', '.join(differ)})", flush=True)
     if seen != len(reference):
         print(f"the sweep ran {seen} runs, the reference holds {len(reference)}")
+        return 1
+    if differing:
+        print(f"{differing} of {seen} runs differ from {REFERENCE}")
         return 1
     print(f"all {seen} runs match {REFERENCE}")
     return 0

@@ -328,9 +328,12 @@ def least_weight_violation(
 
 
 def _leaf_key(graph: RTVGraph, chosen: dict[int, int]):
-    return tuple(
-        sorted((tuple(sorted(graph.members(bid))), vid) for vid, bid in chosen.items())
-    )
+    """Tie key among equal optima: whether each request is left out, in
+    id order, so that the lowest ids served win; then the sorted chain
+    of (members, vehicle) choices."""
+    served = set().union(*(graph.members(bid) for bid in chosen.values()))
+    chain = sorted((tuple(sorted(graph.members(bid))), vid) for vid, bid in chosen.items())
+    return tuple(rid not in served for rid in sorted(graph.request_ids)), tuple(chain)
 
 
 def oracle_options(graph: RTVGraph, frozen: bool) -> dict[int, set[int | None]]:
@@ -385,8 +388,9 @@ def exhaustive_pooling_oracle(graph: RTVGraph, frozen: bool = False) -> Assignme
 
     Guarded to tiny instances so tests cannot accidentally explode.
     Applies the identical value ordering as solve_pooling, including
-    the canonical tie key, with no bounding or pruning anywhere. Raises
-    MatchingError when frozen commitments cannot all be kept.
+    the canonical tie key (`_leaf_key`), with no bounding or pruning
+    anywhere. Raises MatchingError when frozen commitments cannot all
+    be kept.
     """
     if len(graph.edges) > _ORACLE_EDGE_LIMIT:
         raise ValueError(

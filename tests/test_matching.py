@@ -85,6 +85,11 @@ def rv_edge(graph, request_id, vehicle_id):
     return graph.edge(singleton_id(graph, request_id), vehicle_id)
 
 
+# edge costs: spread out, or in 0-1 or all 0, so that equal optima
+# serving different requests are common
+COSTS = st.sampled_from([st.integers(-15, 15), st.integers(0, 1), st.just(0)])
+
+
 @st.composite
 def matching_instances(draw):
     request_ids = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=6)))
@@ -93,7 +98,8 @@ def matching_instances(draw):
     chosen = draw(
         st.lists(st.sampled_from(pairs), unique=True, min_size=0, max_size=len(pairs))
     )
-    costs = {pair: draw(st.integers(-15, 15)) for pair in chosen}
+    cost = draw(COSTS)
+    costs = {pair: draw(cost) for pair in chosen}
     prev = {}
     taken = set()
     for rid in request_ids:
@@ -102,6 +108,21 @@ def matching_instances(draw):
             vid = draw(st.sampled_from(sorted(options)))
             prev[rid] = vid
             taken.add(vid)
+    return request_ids, vehicle_ids, costs, prev
+
+
+@st.composite
+def crowded_instances(draw):
+    """More requests than vehicles, with a 0-1 or 0 cost on about half of
+    the pairs, so that equal optima serve different requests."""
+    request_ids = sorted(draw(st.sets(st.integers(0, 30), min_size=3, max_size=7)))
+    vehicle_ids = sorted(draw(st.sets(st.integers(0, 30), min_size=1, max_size=len(request_ids) - 1)))
+    cost = draw(st.sampled_from([st.integers(0, 1), st.just(0)]))
+    costs = {(r, v): draw(cost) for r in request_ids for v in vehicle_ids if draw(st.booleans())}
+    prev = {}
+    for rid, vid in costs:
+        if vid not in prev.values() and rid not in prev and draw(st.integers(0, 3)) == 0:
+            prev[rid] = vid
     return request_ids, vehicle_ids, costs, prev
 
 
@@ -161,13 +182,20 @@ def test_frozen_mode_locks_previous_pairs(instance):
     assert solution.total_cost == sum(costs[p] for p in prev.items()) + extra_c
 
 
-@settings(max_examples=200, deadline=None)
-@given(matching_instances(), st.booleans())
+def assert_one_answer(graph, frozen):
+    """The matcher and the bundle search give the same solution."""
+    hailing, pooling = solve_hailing(graph, frozen=frozen), solve_pooling(graph, frozen=frozen)
+    assert hailing.pairs == pooling.pairs
+    assert hailing.chosen_bundles == pooling.chosen_bundles
+    assert hailing.value == pooling.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(matching_instances() | crowded_instances(), st.booleans())
 def test_matcher_is_the_singleton_case_of_the_bundle_search(instance, frozen):
-    """On singleton bundles the matcher and the bundle search reach the
-    same (kept, assigned, cost) optimum."""
-    graph = make_graph(*instance)
-    assert solve_hailing(graph, frozen=frozen).value == solve_pooling(graph, frozen=frozen).value
+    """On singleton bundles the matcher and the bundle search share one
+    tie rule, so they return the same optimum, not only its value."""
+    assert_one_answer(make_graph(*instance), frozen)
 
 
 @st.composite
@@ -177,7 +205,8 @@ def wide_matching_instances(draw):
     vehicle_ids = sorted(draw(st.sets(st.integers(0, 60), min_size=10, max_size=14)))
     pairs = [(r, v) for r in request_ids for v in vehicle_ids]
     chosen = draw(st.permutations(pairs))[: draw(st.integers(65, len(pairs)))]
-    costs = {pair: draw(st.integers(-15, 15)) for pair in sorted(chosen)}
+    cost = draw(COSTS)
+    costs = {pair: draw(cost) for pair in sorted(chosen)}
     prev = {}
     taken = set()
     for rid in request_ids:
@@ -193,16 +222,16 @@ def wide_matching_instances(draw):
 def test_matcher_matches_the_bundle_search_past_word_size(instance, frozen):
     graph = make_graph(*instance)
     assert len(graph.edges) > 64
-    assert solve_hailing(graph, frozen=frozen).value == solve_pooling(graph, frozen=frozen).value
+    assert_one_answer(graph, frozen)
 
 
-def test_matcher_and_bundle_search_break_ties_differently():
-    # both optima serve two requests at cost 0; the matcher prefers the
-    # served set {1, 2}, the bundle search the chain (1, 10), (3, 20)
+def test_matcher_and_bundle_search_break_ties_alike():
+    # both optima serve two requests at cost 0; the served set {1, 2}
+    # beats {1, 3} before the chain (1, 10), (3, 20) is compared
     costs = {(1, 10): 0, (1, 20): 0, (2, 10): 0, (3, 20): 0}
     graph = make_graph([1, 2, 3], [10, 20], costs)
     assert solve_hailing(graph).pairs == {1: 20, 2: 10}
-    assert solve_pooling(graph).pairs == {1: 10, 3: 20}
+    assert solve_pooling(graph).pairs == {1: 20, 2: 10}
 
 
 def test_frozen_mode_requires_surviving_edges():

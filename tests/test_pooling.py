@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import random
@@ -624,6 +625,22 @@ def test_rtv_graph_searches_again_when_an_input_changes(name):
     assert _graph_edges(graph) == _graph_edges(fresh_graph)
 
 
+def test_a_deep_copied_state_still_carries_its_searches():
+    # a network never changes, so a copy of it is itself, and a copied
+    # state's search records still name the network it is built on
+    net = Network.build_grid(5, 5)
+    assert copy.copy(net) is net and copy.deepcopy(net) is net
+    state = _rider_state(net)
+    build_rtv_graph(state, net, 1, _W)
+    twin = copy.deepcopy(state)
+    with searches_logged() as original:
+        graph = build_rtv_graph(state, net, 1, _W)
+    with searches_logged() as copied:
+        twin_graph = build_rtv_graph(twin, net, 1, _W)
+    assert len(copied) <= len(original)
+    assert _graph_edges(twin_graph) == _graph_edges(graph)
+
+
 def test_divertable_vehicles_boundary_and_commitment_blindness():
     net = Network.build_grid(5, 5)
     state = SystemState(now=2)
@@ -976,14 +993,16 @@ def test_solution_bookkeeping_fields():
 @st.composite
 def mixed_graphs(draw):
     """Singleton and multi-rider bundles over up to 8 requests and 4
-    vehicles, at most 20 edges, and commitments drawn freely."""
+    vehicles, at most 20 edges, and commitments drawn freely. Costs are
+    spread out, or in 0-1 or all 0, so that equal optima serving
+    different requests are common."""
     rids = list(range(1, draw(st.integers(1, 8)) + 1))
     vids = list(range(draw(st.integers(1, 4))))
     bundle = st.lists(st.sampled_from(rids), min_size=1, max_size=3, unique=True)
     edge_costs = draw(
         st.dictionaries(
             st.tuples(bundle.map(lambda m: tuple(sorted(m))), st.sampled_from(vids)),
-            st.integers(-12, 25),
+            draw(st.sampled_from([st.integers(-12, 25), st.integers(0, 1), st.just(0)])),
             min_size=1,
             max_size=20,
         )
@@ -1062,6 +1081,46 @@ def test_solvers_ignore_bundle_ids_and_edge_order(graph, data):
         other = _relabelled(base, bundle_ids, edge_order)
         for frozen in (False, True):
             assert _outcome(solve, other, frozen) == _outcome(solve, base, frozen)
+
+
+def _without(graph, gone):
+    """`graph` without the requests in `gone`: their bundles, those
+    bundles' edges and their commitments go too."""
+    bundles = [b for b in graph.bundles if not b.members & gone]
+    new_id = {b.id: i for i, b in enumerate(bundles)}
+    edges = {
+        (new_id[bid], vid): VBEdge(new_id[bid], vid, edge.cost, _DUMMY_ROUTE)
+        for (bid, vid), edge in graph.edges.items()
+        if bid in new_id
+    }
+    return replace(
+        graph,
+        request_ids=[rid for rid in graph.request_ids if rid not in gone],
+        bundles=[Bundle(new_id[b.id], b.members) for b in bundles],
+        edges=edges,
+        prev_assigned={rid: vid for rid, vid in graph.prev_assigned.items() if rid not in gone},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_graphs(), st.booleans(), st.data())
+def test_deleting_requests_the_answer_leaves_out_keeps_the_answer(graph, frozen, data):
+    # the lemma behind the twin claim: a batch's answer depends only on
+    # the choices it could take, so early rejection, which deletes the
+    # requests a batch left out, changes no later answer
+    for solve, base in ((solve_pooling, graph), (solve_hailing, _singleton_part(graph))):
+        try:
+            solution = solve(base, frozen=frozen)
+        except MatchingError:
+            continue
+        gone = data.draw(st.sets(st.sampled_from(solution.unassigned))) if solution.unassigned else set()
+        smaller = _without(base, gone)
+        again = solve(smaller, frozen=frozen)
+        assert again.pairs == solution.pairs
+        assert again.value == solution.value
+        assert {vid: smaller.members(bid) for vid, bid in again.chosen_bundles.items()} == {
+            vid: base.members(bid) for vid, bid in solution.chosen_bundles.items()
+        }
 
 
 def test_tie_rule_holds_past_machine_word_size():

@@ -1,4 +1,5 @@
-"""The benchmark tracer's bindings and metrics exist, and are reached.
+"""The benchmark tracer's bindings and metrics exist, and are reached;
+the digest sweep reports every run that differs.
 
 perfbench/spans.py wraps functions at the module or class attribute
 their callers look up, and its tracer reports the per-layer metrics
@@ -18,13 +19,18 @@ import fleetsim
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+SWEEP = ROOT / "tests" / "log_sweep.py"
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _spans_module():
+    return _load("perfbench_spans", SPANS)
 
 
 def test_every_traced_binding_exists():
@@ -75,3 +81,21 @@ def test_every_traced_binding_is_reached():
     names = sorted({name for name, _, _, _, _ in spans._targets(fleetsim)})
     assert names
     assert [name for name in names if tracer.calls[name] == 0] == []
+
+
+def test_log_sweep_check_lists_every_differing_run(tmp_path, monkeypatch, capsys):
+    sweep = _load("log_sweep", SWEEP)
+    reference = {f"run-{i}": {"log": "a", "report": "b", "metrics": "c"} for i in range(4)}
+    (tmp_path / "ref.json").write_text(json.dumps(reference), encoding="utf-8")
+    got = {name: dict(parts) for name, parts in reference.items()}
+    got["run-1"]["log"] = got["run-3"]["report"] = got["run-3"]["metrics"] = "x"
+    monkeypatch.setattr(sweep, "REFERENCE", str(tmp_path / "ref.json"))
+    monkeypatch.setattr(sweep, "sweep", lambda: iter(got.items()))
+    assert sweep.main(["--check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: run-1 (log)",
+        "differs: run-3 (metrics, report)",
+        f"2 of 4 runs differ from {tmp_path / 'ref.json'}",
+    ]
+    monkeypatch.setattr(sweep, "sweep", lambda: iter(reference.items()))
+    assert sweep.main(["--check"]) == 0
