@@ -8,6 +8,12 @@ node's time to it) are each filled by one Dijkstra run the first time a
 query needs them, and kept. On a network whose every edge runs both ways
 at one time, such as a grid, a node's column is its row and is filled
 once.
+
+A network is a pure function of its definition, so the two shared
+constructors, `Network.build_grid` and `Network.from_edge_list`, return
+one network per definition for the life of the process: every scenario
+on one grid or edge-list text reads and fills one distance store.
+`Network(edges)` always builds a new network.
 """
 
 from __future__ import annotations
@@ -94,12 +100,20 @@ class Network:
 
     # -- construction helpers -------------------------------------------------
 
+    _shared: dict[tuple, "Network"] = {}  # definition -> network, see build_grid
+
     @classmethod
     def build_grid(cls, width: int, height: int, edge_time: int = 1) -> "Network":
         """Four-connected rectangular grid with bidirectional edges.
 
-        Node ids are row-major: (x, y) -> y * width + x.
+        Node ids are row-major: (x, y) -> y * width + x. Equal arguments
+        return one shared network for the life of the process. Its store
+        holds at most (width * height)^2 distances, kept until the
+        process ends.
         """
+        key = (cls, width, height, edge_time)
+        if key in cls._shared:
+            return cls._shared[key]
         if width < 1 or height < 1:
             raise NetworkError("grid dimensions must be at least 1x1")
         if not isinstance(edge_time, int) or edge_time < 1:
@@ -118,14 +132,19 @@ class Network:
                     b = grid_node(width, x, y + 1)
                     edges.append((a, b, edge_time))
                     edges.append((b, a, edge_time))
-        return cls(edges)
+        return cls._shared.setdefault(key, cls(edges))
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Network":
         """Parse an edge-list document: one `from to time` triple per line.
 
-        Blank lines and `#` comments are ignored.
+        Blank lines and `#` comments are ignored. Equal texts return one
+        shared network for the life of the process. Its store holds at
+        most N^2 distances for N nodes, kept until the process ends.
         """
+        key = (cls, text)
+        if key in cls._shared:
+            return cls._shared[key]
         edges = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -139,10 +158,11 @@ class Network:
             except ValueError:
                 raise NetworkError(f"line {lineno}: non-integer field in {raw!r}")
             edges.append((u, v, t))
-        return cls(edges)
+        return cls._shared.setdefault(key, cls(edges))
 
     @classmethod
     def load_edge_list(cls, path) -> "Network":
+        """`from_edge_list` of the file's text, so a changed file gives a new network."""
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_edge_list(fh.read())
 

@@ -174,13 +174,13 @@ class RunResult:
         return [row["active_requests"] for row in self.batches]
 
 
-def run_scenario(cfg: ScenarioConfig, observer=None, *, _net: Network | None = None) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
     """Execute one full scenario: horizon batches plus the drain tail.
 
-    `_net` is the network built from `cfg`, when the caller has it
-    already; `twin_run` shares one between its two runs.
+    Scenarios on one grid or edge-list text share one network, and with
+    it every distance row an earlier scenario in the process filled.
     """
-    net = cfg.build_network() if _net is None else _net
+    net = cfg.build_network()
     state = SystemState()
     start_positions = {}
     for vehicle in build_fleet(cfg, net):
@@ -333,17 +333,19 @@ def _first_divergence(reject: TwinOutcome, walkaway: TwinOutcome) -> str | None:
 
 
 def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
-    """Run the scenario under both policies and compare the outcomes."""
+    """Run the scenario under both policies and compare the outcomes.
+
+    Both runs build the one shared network of `cfg`, so the second run
+    reads the distance rows the first one filled.
+    """
     reject_cfg = replace(
         cfg, engine=replace(cfg.engine, rejection_policy=RejectionPolicy.EARLY_REJECT)
     )
     walk_cfg = replace(
         cfg, engine=replace(cfg.engine, rejection_policy=RejectionPolicy.WALK_AWAY)
     )
-    # the network is immutable and its lazy caches are pure, so the twins share it
-    net = cfg.build_network()
-    reject = run_scenario(reject_cfg, observers[0], _net=net)
-    walkaway = run_scenario(walk_cfg, observers[1], _net=net)
+    reject = run_scenario(reject_cfg, observers[0])
+    walkaway = run_scenario(walk_cfg, observers[1])
     a, b = TwinOutcome.of(reject), TwinOutcome.of(walkaway)
     return TwinReportEntry(
         seed=cfg.seed,

@@ -152,6 +152,25 @@ def test_edge_list_parsing():
     assert net.travel_time(0, 2) == 4
 
 
+def test_equal_definitions_share_one_network(tmp_path):
+    grid = Network.build_grid(5, 4)
+    assert Network.build_grid(5, 4) is grid and Network.build_grid(5, 4, 1) is grid
+    assert Network.build_grid(5, 4, 2) is not grid
+    assert Network.build_grid(4, 5) is not grid
+    text = "0 1 2\n1 0 3\n"
+    listed = Network.from_edge_list(text)
+    assert Network.from_edge_list(text) is listed
+    assert Network.from_edge_list(text + "# same edges\n") is not listed
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    assert Network.load_edge_list(path) is listed
+    path.write_text("0 1 5\n1 0 5\n")
+    changed = Network.load_edge_list(path)
+    assert changed is not listed and changed.travel_time(0, 1) == 5
+    edges = grid_edges(5, 4)
+    assert Network(edges) is not Network(edges)
+
+
 def test_edge_list_bad_line():
     with pytest.raises(NetworkError):
         Network.from_edge_list("0 1\n")
@@ -273,8 +292,8 @@ def test_shortest_path_lexicographic_tie_break():
 
 
 def test_shortest_path_deterministic_across_instances():
-    a = Network.build_grid(8, 8)
-    b = Network.build_grid(8, 8)
+    a = Network(grid_edges(8, 8))
+    b = Network(grid_edges(8, 8))
     for pair in [(0, 63), (7, 56), (12, 50)]:
         assert a.shortest_path(*pair) == b.shortest_path(*pair)
 

@@ -39,9 +39,9 @@ from fleetsim.pooling import (
     solve_pooling,
 )
 from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
-from oracles import exhaustive_pooling_oracle, oracle_options, route_feasible
-from test_acceptance import pooling_cfg
-from test_network import random_strong_network
+from oracles import exhaustive_pooling_oracle, late_assignments, oracle_options, route_feasible
+from test_acceptance import hailing_cfg, pooling_cfg
+from test_network import grid_edges, random_strong_network
 from test_pinned_logs import _directed_grid
 
 _DUMMY_ROUTE = Route((Stop(0, frozenset({0}), frozenset(), 0),))
@@ -603,7 +603,7 @@ def _perturb(name, state, net):
     elif name == "weights":
         return net, CostWeights(1, 2, 1)
     elif name == "network":
-        return Network.build_grid(5, 5), _W
+        return Network(grid_edges(5, 5)), _W
     return net, _W
 
 
@@ -1241,3 +1241,25 @@ def test_only_a_binding_bundle_cap_splits_the_seed_2016_twins(reassignment):
             f"cap {cap}: {entry.first_divergence!r}; README's paragraph on the "
             "bundle cap describes this case, update it if this changes"
         )
+
+
+def test_twins_agree_exactly_when_walkaway_accepts_nothing_late():
+    # the single-run certificate of the twin claim, on a battery that
+    # diverges: hailing demand (capacity 1) solved as pooling with
+    # single-rider bundles, and seed 2016's binding bundle cap
+    cases = [
+        _with_engine(hailing_cfg(seed), mode=Mode.POOLING, max_bundle_size=cap)
+        for seed in (1000, 1001)
+        for cap in (1, None)
+    ]
+    cases += [_with_engine(pooling_cfg(2016), batch_interval=2, max_bundle_size=cap) for cap in (3, None)]
+    verdicts = []
+    for cfg, reassignment in itertools.product(cases, (Reassignment.ALLOWED, Reassignment.FROZEN)):
+        entry = twin_run(_with_engine(cfg, reassignment=reassignment))
+        late = late_assignments(entry.walkaway.events)
+        assert late_assignments(entry.reject.events) == []
+        assert entry.equal == (late == []), (cfg.seed, entry.first_divergence, late)
+        if late:
+            assert entry.first_divergence == f"request {late[0]} served only under walkaway"
+        verdicts.append(entry.equal)
+    assert len(verdicts) == 12 and True in verdicts and False in verdicts

@@ -281,10 +281,35 @@ def test_twin_run_builds_one_network_for_both_runs(monkeypatch):
         built.append(1)
         real_init(self, *args, **kwargs)
 
+    monkeypatch.setattr(Network, "_shared", {})
     monkeypatch.setattr(Network, "__init__", counting_init)
     entry = twin_run(cfg)
     assert built == [1]
     assert [event_log_lines(entry.reject), event_log_lines(entry.walkaway)] == alone
+
+
+def test_a_second_twin_run_builds_no_network_and_runs_no_dijkstra(monkeypatch):
+    # every run on one grid shares its network and the rows filled so far
+    cfg = small_cfg(seed=23, rate=1.0, vehicle_count=4, mode=Mode.POOLING, vehicle_capacity=3)
+    first = twin_run(cfg)
+    built, dijkstras = [], []
+    real_init, real_dijkstra = Network.__init__, Network._dijkstra
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    def counting_dijkstra(self, *args):
+        dijkstras.append(1)
+        return real_dijkstra(self, *args)
+
+    monkeypatch.setattr(Network, "__init__", counting_init)
+    monkeypatch.setattr(Network, "_dijkstra", counting_dijkstra)
+    second = twin_run(cfg)
+    assert built == [] and dijkstras == []
+    assert [event_log_lines(run) for run in (second.reject, second.walkaway)] == [
+        event_log_lines(run) for run in (first.reject, first.walkaway)
+    ]
 
 
 def test_event_logs_are_reproducible_and_ordered():
