@@ -1,4 +1,4 @@
-"""Command-line front end: single runs, twin comparisons, and sweeps."""
+"""Command-line front end: single runs, twin comparisons, and config checks."""
 
 from __future__ import annotations
 
@@ -8,17 +8,19 @@ import os
 import sys
 from dataclasses import replace
 
-from .engine import Mode
 from .scenario import (
     ConfigError,
     ScenarioConfig,
     TheoremReport,
     emit_metrics,
     parse_config,
-    parse_policy,
+    parse_config_text,
     twin_run,
     run_scenario,
 )
+
+# flags that are config settings, applied after the file's lines
+_SETTING_FLAGS = {"seed": "seed", "mode": "engine.mode", "policy": "engine.policy"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,32 +30,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, needs_config=False):
-        p.add_argument("--config", required=needs_config, help="scenario config file")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
+    def common(p):
+        p.add_argument("--config", help="scenario config file")
+        p.add_argument("--seed", help="set `seed`")
+        p.add_argument("--mode", help="set `engine.mode` (hailing or pooling)")
         p.add_argument("--out", help="directory for metrics, logs, and reports")
-        p.add_argument(
-            "--mode", choices=[m.value for m in Mode], help="override engine mode"
-        )
-        p.add_argument(
-            "--policy",
-            choices=["early", "walkaway"],
-            help="override the rejection policy",
-        )
         p.add_argument(
             "--dump-graphs",
             action="store_true",
             help="also write per-batch assignment-problem sizes (needs --out)",
         )
+        return p
 
-    common(sub.add_parser("run", help="run one scenario"))
-    common(sub.add_parser("twin", help="run both policies on one scenario and compare"))
-    sweep = sub.add_parser("twin-sweep", aliases=["sweep"], help="twin runs over a seed range")
-    common(sweep)
-    sweep.add_argument(
-        "--seeds",
-        default="0:10",
-        help="seed range as start:count (default 0:10)",
+    run = common(sub.add_parser("run", help="run one scenario"))
+    run.add_argument("--policy", help="set `engine.policy` (early or walkaway)")
+    twin = common(
+        sub.add_parser("twin", help="run both policies on each seed and compare")
+    )
+    twin.add_argument(
+        "--count",
+        type=int,
+        default=1,
+        help="twin seeds seed .. seed+COUNT-1 (default 1)",
     )
     validate = sub.add_parser("validate", help="check a config file and exit")
     validate.add_argument("--config", required=True)
@@ -61,18 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
-    if args.config:
-        cfg = parse_config(args.config)
-    else:
-        cfg = ScenarioConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    engine = cfg.engine
-    if getattr(args, "mode", None):
-        engine = replace(engine, mode=Mode(args.mode))
-    if getattr(args, "policy", None):
-        engine = replace(engine, rejection_policy=parse_policy(args.policy))
-    return replace(cfg, engine=engine)
+    flags = [
+        (f"--{flag}", key, getattr(args, flag))
+        for flag, key in _SETTING_FLAGS.items()
+        if getattr(args, flag, None) is not None
+    ]
+    if args.config is None:
+        return parse_config_text("", "defaults", flags)
+    return parse_config(args.config, flags)
 
 
 def _write_graph_rows(out_dir, result) -> None:
@@ -103,11 +97,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _run_twins(args, seeds) -> int:
+def _cmd_twin(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     base = _load_config(args)
     report = TheoremReport()
     results = []
-    for seed in seeds:
+    for seed in range(base.seed, base.seed + args.count):
         entry = twin_run(replace(base, seed=seed))
         report.entries.append(entry)
         results += [entry.reject, entry.walkaway]
@@ -121,22 +117,6 @@ def _run_twins(args, seeds) -> int:
     return 2 if report.mismatches else 0
 
 
-def _cmd_twin(args) -> int:
-    cfg = _load_config(args)
-    return _run_twins(args, [cfg.seed])
-
-
-def _cmd_sweep(args) -> int:
-    try:
-        start_text, count_text = args.seeds.split(":", 1)
-        start, count = int(start_text), int(count_text)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"--seeds must be start:count, got {args.seeds!r}") from None
-    return _run_twins(args, range(start, start + count))
-
-
 def _cmd_validate(args) -> int:
     parse_config(args.config)
     print(f"{args.config}: ok")
@@ -148,8 +128,6 @@ def main(argv=None) -> int:
     handlers = {
         "run": _cmd_run,
         "twin": _cmd_twin,
-        "twin-sweep": _cmd_sweep,
-        "sweep": _cmd_sweep,
         "validate": _cmd_validate,
     }
     try:

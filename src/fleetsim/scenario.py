@@ -28,7 +28,7 @@ from .engine import (
     step,
 )
 from .model import Request, RequestStatus, SystemState, Vehicle, validate_state
-from .network import Network
+from .network import Network, NetworkError
 
 
 class ConfigError(ValueError):
@@ -385,34 +385,41 @@ def _bundle_cap(value: str) -> int | None:
     return int(value)
 
 
-_CONFIG_KEYS = {
-    "seed": ("seed", int),
-    "network.grid_width": ("grid_width", int),
-    "network.grid_height": ("grid_height", int),
-    "network.edge_list": ("edge_list_path", str),
-    "fleet.vehicles": ("vehicle_count", int),
-    "fleet.capacity": ("vehicle_capacity", int),
-    "demand.rate": ("rate", float),
-    "demand.max_wait_low": ("max_wait_low", int),
-    "demand.max_wait_high": ("max_wait_high", int),
-    "demand.detour_factor": ("detour_factor", float),
+def _node_list(value: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+
+
+# every setting's dotted key -> (the config it sets, its field, its parser)
+_KEYS = {
+    "seed": ("scenario", "seed", int),
+    "network.grid_width": ("scenario", "grid_width", int),
+    "network.grid_height": ("scenario", "grid_height", int),
+    "network.edge_list": ("scenario", "edge_list_path", str),
+    "fleet.vehicles": ("scenario", "vehicle_count", int),
+    "fleet.capacity": ("scenario", "vehicle_capacity", int),
+    "fleet.positions": ("scenario", "vehicle_positions", _node_list),
+    "demand.rate": ("scenario", "rate", float),
+    "demand.max_wait_low": ("scenario", "max_wait_low", int),
+    "demand.max_wait_high": ("scenario", "max_wait_high", int),
+    "demand.detour_factor": ("scenario", "detour_factor", float),
+    "engine.mode": ("engine", "mode", Mode),
+    "engine.policy": ("engine", "rejection_policy", parse_policy),
+    "engine.reassignment": ("engine", "reassignment", Reassignment),
+    "engine.batch_interval": ("engine", "batch_interval", int),
+    "engine.horizon": ("engine", "horizon", int),
+    "engine.max_bundle_size": ("engine", "max_bundle_size", _bundle_cap),
 }
 
-_ENGINE_KEYS = {
-    "engine.mode": ("mode", Mode),
-    "engine.policy": ("rejection_policy", parse_policy),
-    "engine.reassignment": ("reassignment", Reassignment),
-    "engine.batch_interval": ("batch_interval", int),
-    "engine.horizon": ("horizon", int),
-    "engine.max_bundle_size": ("max_bundle_size", _bundle_cap),
-}
 
+def parse_config_text(text: str, path: str = "<string>", overrides=()) -> ScenarioConfig:
+    """Parse `key = value` lines with dotted keys into a checked ScenarioConfig.
 
-def parse_config_text(text: str, path: str = "<string>") -> ScenarioConfig:
-    """Parse `key = value` lines with dotted keys into a ScenarioConfig."""
-    fields: dict[str, object] = {}
-    engine_fields: dict[str, object] = {}
-    positions: list[int] | None = None
+    `overrides` are `(source, key, value)` settings, such as the CLI's
+    `("--seed", "seed", "7")`. They apply after the lines and parse the
+    same way, and an error names the line or the source. Keys set
+    nowhere keep `ScenarioConfig()`'s defaults.
+    """
+    settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -420,44 +427,48 @@ def parse_config_text(text: str, path: str = "<string>") -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        settings.append((f"{path}:{lineno}", key, value))
+    values: dict[str, dict[str, object]] = {"scenario": {}, "engine": {}}
+    for source, key, value in [*settings, *overrides]:
+        if key not in _KEYS:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        target, name, parse = _KEYS[key]
         try:
-            if key == "fleet.positions":
-                positions = [int(tok) for tok in value.split(",") if tok.strip()]
-            elif key in _CONFIG_KEYS:
-                name, cast = _CONFIG_KEYS[key]
-                fields[name] = cast(value)
-            elif key in _ENGINE_KEYS:
-                name, cast = _ENGINE_KEYS[key]
-                engine_fields[name] = cast(value)
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    if positions is not None:
-        fields["vehicle_positions"] = tuple(positions)
+            values[target][name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
+    base = ScenarioConfig()
     try:
-        engine = EngineConfig(**engine_fields)
-        cfg = ScenarioConfig(engine=engine, **fields)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        engine = replace(base.engine, **values["engine"])
+        cfg = replace(base, engine=engine, **values["scenario"])
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    _check_premise(cfg)
+    _check(cfg)
     return cfg
 
 
-def parse_config(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), str(path))
+def parse_config(path, overrides=()) -> ScenarioConfig:
+    """`parse_config_text` of the file's text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, str(path), overrides)
 
 
-def _check_premise(cfg: ScenarioConfig) -> None:
-    """Hailing demand must admit trips longer than the patience window."""
+def _check(cfg: ScenarioConfig) -> None:
+    """Build the network and fleet once, then check the hailing premise:
+    demand must admit trips longer than the patience window."""
+    grid = cfg.edge_list_path is None
+    key = "network.grid_width/grid_height" if grid else "network.edge_list"
+    try:
+        net = cfg.build_network()
+    except (OSError, UnicodeDecodeError, NetworkError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    build_fleet(cfg, net)
     if cfg.engine.mode is not Mode.HAILING or cfg.rate == 0:
         return
-    net = cfg.build_network()
     if net.diameter() <= cfg.max_wait_high:
         raise ConfigError(
             "demand.max_wait_high: no trip on this network is longer than "

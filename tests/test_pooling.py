@@ -1263,3 +1263,21 @@ def test_twins_agree_exactly_when_walkaway_accepts_nothing_late():
             assert entry.first_divergence == f"request {late[0]} served only under walkaway"
         verdicts.append(entry.equal)
     assert len(verdicts) == 12 and True in verdicts and False in verdicts
+
+
+def test_uncapped_single_rider_pooling_twins_agree_on_a_short_horizon():
+    # hailing demand in pooling mode has no trip-length floor; with no
+    # bundle cap a capacity-1 vehicle can still plan a chain of riders,
+    # so no request is accepted late and every pair agrees
+    for seed, interval, reassignment in itertools.product(
+        range(1000, 1005), (1, 2), (Reassignment.ALLOWED, Reassignment.FROZEN)
+    ):
+        cfg = _with_engine(
+            hailing_cfg(seed), mode=Mode.POOLING, max_bundle_size=None, horizon=60,
+            batch_interval=interval, reassignment=reassignment,
+        )
+        assert cfg.vehicle_capacity == 1
+        entry = twin_run(cfg)
+        assert entry.equal, (seed, interval, reassignment, entry.first_divergence)
+        assert late_assignments(entry.reject.events) == []
+        assert late_assignments(entry.walkaway.events) == []

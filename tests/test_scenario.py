@@ -151,6 +151,18 @@ def test_parse_config_round_trip():
     assert cfg.engine.horizon == 25
 
 
+def test_parse_config_starts_from_the_defaults_and_applies_overrides_last():
+    assert parse_config_text("") == ScenarioConfig()
+    cfg = parse_config_text(
+        "seed = 4\nengine.policy = early\n",
+        overrides=[("--seed", "seed", "9"), ("--policy", "engine.policy", "walk_away")],
+    )
+    assert cfg.seed == 9
+    assert cfg.engine.rejection_policy is RejectionPolicy.WALK_AWAY
+    with pytest.raises(ConfigError, match="^--seed: bad value for seed"):
+        parse_config_text("seed = 4\n", overrides=[("--seed", "seed", "x")])
+
+
 def test_parse_config_errors_name_the_field():
     with pytest.raises(ConfigError, match="demand.rate"):
         parse_config_text("demand.rate = -1\n")
@@ -381,19 +393,24 @@ def test_cli_run_twin_sweep_validate(tmp_path, capsys):
     assert (
         main(
             [
-                "sweep", "--config", str(config), "--seeds", "3:2",
+                "twin", "--config", str(config), "--seed", "3", "--count", "2",
                 "--out", str(out), "--dump-graphs",
             ]
         )
         == 0
     )
+    printed = capsys.readouterr().out
+    assert "seed=3 " in printed and "seed=4 " in printed
     assert (out / "graphs_3_hailing_early_reject.jsonl").exists()
     assert (out / "graphs_4_hailing_walk_away.jsonl").exists()
 
-    # policy and mode overrides reach the engine
-    assert main(["run", "--config", str(config), "--policy", "walkaway"]) == 0
-    printed = capsys.readouterr().out
-    assert "policy=walk_away" in printed
+    # policy and mode overrides reach the engine, in either of the file's spellings
+    for policy in ("walkaway", "walk_away"):
+        assert main(["run", "--config", str(config), "--policy", policy]) == 0
+        printed = capsys.readouterr().out
+        assert "policy=walk_away" in printed
+    assert main(["run", "--config", str(config), "--mode", "pooling"]) == 0
+    assert "mode=pooling" in capsys.readouterr().out
 
 
 def _json_lines(path):
@@ -416,13 +433,13 @@ def test_cli_graph_dumps_are_the_run_records(tmp_path, capsys):
     rows = _json_lines(out / "run" / "graphs_3_pooling_early_reject.jsonl")
     assert rows == run_scenario(cfg).batches
 
-    args = ["sweep", "--config", str(config), "--seeds", "3:2", "--out", str(out / "sweep")]
-    assert main(args + ["--dump-graphs"]) == 0
+    args = ["twin", "--config", str(config), "--seed", "3", "--count", "2"]
+    assert main(args + ["--out", str(out / "twin"), "--dump-graphs"]) == 0
     for seed in (3, 4):
         entry = twin_run(replace(cfg, seed=seed))
         for result in (entry.reject, entry.walkaway):
             policy = result.config.engine.rejection_policy.value
-            assert _json_lines(out / "sweep" / f"graphs_{seed}_pooling_{policy}.jsonl") == result.batches
+            assert _json_lines(out / "twin" / f"graphs_{seed}_pooling_{policy}.jsonl") == result.batches
     capsys.readouterr()
 
 
@@ -436,3 +453,73 @@ def test_cli_validation_failures_exit_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs --out" in captured.err
+
+
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize("verb", ["run", "twin", "validate"])
+def test_cli_missing_files_exit_one_without_a_traceback(tmp_path, capsys, verb):
+    missing = tmp_path / "missing.cfg"
+    assert main([verb, "--config", str(missing)]) == 1
+    assert "cannot read config file" in _single_error_line(capsys)
+
+    config = tmp_path / "edges.cfg"
+    config.write_text(f"network.edge_list = {tmp_path / 'missing.txt'}\n")
+    assert main([verb, "--config", str(config)]) == 1
+    assert "network.edge_list" in _single_error_line(capsys)
+
+
+def test_cli_validate_builds_the_network_and_places_the_fleet(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1\n1 2 1\n")
+    config = tmp_path / "pooling.cfg"
+    config.write_text(f"network.edge_list = {edges}\nengine.mode = pooling\n")
+    assert main(["validate", "--config", str(config)]) == 1
+    line = _single_error_line(capsys)
+    assert "network.edge_list" in line and "not strongly connected" in line
+
+    config.write_text("fleet.vehicles = 2\nfleet.positions = 0, 100\n")
+    assert main(["validate", "--config", str(config)]) == 1
+    assert "fleet.positions references unknown node 100" in _single_error_line(capsys)
+
+
+def test_cli_twin_has_no_policy_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["twin", "--policy", "walkaway"])
+    assert exc.value.code == 2
+    assert "--policy" in capsys.readouterr().err
+
+
+def test_cli_mode_override_is_checked_against_the_premise(tmp_path, capsys):
+    lines = (
+        "network.grid_width = 3\nnetwork.grid_height = 2\n"
+        "demand.max_wait_low = 3\ndemand.max_wait_high = 5\nengine.horizon = 10\n"
+    )
+    pooling = tmp_path / "pooling.cfg"
+    pooling.write_text(lines + "engine.mode = pooling\n")
+    hailing = tmp_path / "hailing.cfg"
+    hailing.write_text(lines + "engine.mode = hailing\n")
+    assert main(["validate", "--config", str(pooling)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--config", str(hailing)]) == 1
+    premise = _single_error_line(capsys)
+    assert "demand.max_wait_high" in premise
+    assert main(["run", "--config", str(pooling), "--mode", "hailing"]) == 1
+    assert _single_error_line(capsys) == premise
+
+
+def test_cli_flag_errors_name_the_flag(capsys):
+    assert main(["run", "--seed", "x"]) == 1
+    assert _single_error_line(capsys).startswith("error: --seed: bad value for seed")
+    assert main(["run", "--policy", "never"]) == 1
+    assert _single_error_line(capsys).startswith("error: --policy: bad value for engine.policy")
+    assert main(["twin", "--mode", "teleport"]) == 1
+    assert _single_error_line(capsys).startswith("error: --mode: bad value for engine.mode")
+    assert main(["twin", "--count", "0"]) == 1
+    assert "--count" in _single_error_line(capsys)
