@@ -172,11 +172,11 @@ def apply_assignment(state: SystemState, solution, cfg: EngineConfig) -> list[Ev
         request = state.requests[rid]
         if rid in solution.pairs:
             vid = solution.pairs[rid]
-            if rid in was_open:
-                events.append(Event(batch, EventKind.ACCEPTED, rid, vid, now))
-            elif was_waiting[rid] != vid:
-                events.append(Event(batch, EventKind.REASSIGNED, rid, vid, now))
-            request.assign(vid)
+            # a request still waiting on the same vehicle is left as it is
+            if rid in was_open or was_waiting[rid] != vid:
+                kind = EventKind.ACCEPTED if rid in was_open else EventKind.REASSIGNED
+                events.append(Event(batch, kind, rid, vid, now))
+                request.assign(vid)
         elif rid in was_waiting:
             request.unassign()
             events.append(Event(batch, EventKind.UNASSIGNED, rid, was_waiting[rid], now))
@@ -233,7 +233,10 @@ def transition(state: SystemState, cfg: EngineConfig, net: Network) -> list[Even
                 vehicle.onboard.add(rid)
                 events.append(Event(batch, EventKind.PICKED_UP, rid, vehicle.id, time))
             served += 1
-        vehicle.route = Route(stops[served:]) if served < len(stops) else None
+        if served == len(stops):
+            vehicle.route = None
+        elif served:
+            vehicle.route = Route(stops[served:])
     state.now = t_end
     return events
 

@@ -123,7 +123,8 @@ class AssignmentSolution:
 
 class KeptPlan(NamedTuple):
     """A vehicle's committed dropoff `visits`, their `route` from `start`
-    (None without visits), where and when it ends, and its cost."""
+    (None without visits), where and when it ends, its cost, and the
+    route the vehicle has `installed` (None without one)."""
 
     start: tuple[int, int]
     visits: list[tuple[int, tuple, tuple[int, ...]]]
@@ -131,11 +132,40 @@ class KeptPlan(NamedTuple):
     end_node: int
     end_time: int
     cost: int
+    installed: Route | None
 
 
-def _plan(net: Network, start: tuple[int, int], visits) -> Route:
+def _plan(net: Network, start: tuple[int, int], visits, installed: Route | None) -> Route:
+    """The route of `visits` scheduled from `start`: the `installed` route
+    itself when scheduling would give its stops, else a new one."""
     node, time = start
+    if installed is not None and _schedules_to(net, node, time, visits, installed.stops):
+        return installed
     return Route(schedule_stops(net, node, time, visits))
+
+
+def _schedules_to(net: Network, node: int, time: int, visits, stops) -> bool:
+    """Whether `schedule_stops(net, node, time, visits)` equals `stops`,
+    checked visit by visit without building a stop."""
+    i = -1  # the stop the visits so far went into
+    pickups: set[int] = set()
+    dropoffs: set[int] = set()
+    for location, picks, drops in visits:
+        # a visit at the last visit's node takes no time, so it joins its stop
+        if i < 0 or location != node:
+            if i >= 0 and (stops[i].pickups != pickups or stops[i].dropoffs != dropoffs):
+                return False
+            time += net.travel_time(node, location)
+            node = location
+            i += 1
+            if i == len(stops) or stops[i].location != node or stops[i].planned_arrival != time:
+                return False
+            pickups, dropoffs = set(), set()
+        pickups.update(picks)
+        dropoffs.update(drops)
+    if i < 0:
+        return not stops
+    return i == len(stops) - 1 and stops[i].pickups == pickups and stops[i].dropoffs == dropoffs
 
 
 def kept_plans(
@@ -149,19 +179,19 @@ def kept_plans(
     """
     out = {}
     for vehicle in state.sorted_vehicles():
-        start = plan_start(vehicle, now)
+        start, installed = plan_start(vehicle, now), vehicle.route
         visits = []
         for stop in vehicle.remaining_stops():
             keep = stop.dropoffs & vehicle.onboard
             if keep:
                 visits.append((stop.location, (), tuple(sorted(keep))))
         if visits:
-            route = _plan(net, start, visits)
+            route = _plan(net, start, visits, installed)
             last = route.stops[-1]
             cost = route_cost(route, vehicle, now, weights, state.requests)
-            out[vehicle.id] = KeptPlan(start, visits, route, last.location, last.planned_arrival, cost)
+            out[vehicle.id] = KeptPlan(start, visits, route, last.location, last.planned_arrival, cost, installed)
         else:
-            out[vehicle.id] = KeptPlan(start, visits, None, start[0], start[1], 0)
+            out[vehicle.id] = KeptPlan(start, visits, None, start[0], start[1], 0, installed)
     return out
 
 
@@ -266,14 +296,14 @@ def single_rider_plans(
     serve = [(request.origin, (rid,), ()), (request.destination, (), (rid,))]
     fits = {}
     for vid, leg in legs.items():
-        start, visits, _, _, end_time, cost = kept[vid]
+        start, visits, _, _, end_time, cost, installed = kept[vid]
         pickup = end_time + leg
         added = (
             weights.drive * (pickup + trip - end_time)
             + weights.wait * (pickup - request.request_time)
             + weights.ride * trip
         )
-        fits[vid] = (partial(_plan, net, start, visits + serve), cost + added)
+        fits[vid] = (partial(_plan, net, start, visits + serve, installed), cost + added)
     return fits
 
 

@@ -7,7 +7,8 @@ size: a node's row (its times to every node) and its column (every
 node's time to it) are each filled by one Dijkstra run the first time a
 query needs them, and kept. On a network whose every edge runs both ways
 at one time, such as a grid, a node's column is its row and is filled
-once.
+once. The network also keeps the last path built to each node, at most
+one node tuple per node.
 
 A network is a pure function of its definition, so the two shared
 constructors, `Network.build_grid` and `Network.from_edge_list`, return
@@ -96,6 +97,8 @@ class Network:
         # when every edge runs both ways at one time, a node's column is its row
         self._rows: list[list[int] | None] = [None] * n
         self._cols: list[list[int] | None] = self._rows if self._adj == self._radj else [None] * n
+        # paths[j]: the last path shortest_path built to node j, as node ids
+        self._paths: list[tuple[int, ...] | None] = [None] * n
         self._check_strongly_connected()
 
     # -- construction helpers -------------------------------------------------
@@ -224,12 +227,18 @@ class Network:
 
         Among all minimum-cost paths the lexicographically smallest node
         sequence is returned, which makes route planning reproducible.
+        Each step's next node depends only on the node and the destination,
+        so the path from any node on the last path built to the destination
+        is that path's suffix, and is returned as such.
         """
         a = self._require(origin)
         b = self._require(destination)
         if a == b:
             return PathResult(0, (origin,))
         dist_to_target = self._dist_to(b)
+        last = self._paths[b]
+        if last is not None and origin in last:
+            return PathResult(dist_to_target[a], last[last.index(origin):])
         seq = [a]
         cur = a
         total = dist_to_target[a]
@@ -245,7 +254,8 @@ class Network:
                 raise NetworkError("path reconstruction failed")
             seq.append(nxt)
             cur = nxt
-        return PathResult(total, tuple([self._nodes[i] for i in seq]))
+        path = self._paths[b] = tuple([self._nodes[i] for i in seq])
+        return PathResult(total, path)
 
     def diameter(self) -> int:
         """Largest pairwise travel time in the network."""

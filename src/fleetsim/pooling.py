@@ -158,7 +158,7 @@ def build_rtv_graph(
                 found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
             results[members] = found
             if found is not None:
-                fits[vid] = (partial(_plan, net, kept[vid].start, found[0]), found[1])
+                fits[vid] = (partial(_plan, net, kept[vid].start, found[0], kept[vid].installed), found[1])
         return fits
 
     level: list[frozenset[int]] = []

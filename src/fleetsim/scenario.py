@@ -411,13 +411,17 @@ _KEYS = {
 }
 
 
-def parse_config_text(text: str, path: str = "<string>", overrides=()) -> ScenarioConfig:
+def parse_config_text(
+    text: str, path: str = "<string>", overrides=(), folder: str = ""
+) -> ScenarioConfig:
     """Parse `key = value` lines with dotted keys into a checked ScenarioConfig.
 
     `overrides` are `(source, key, value)` settings, such as the CLI's
     `("--seed", "seed", "7")`. They apply after the lines and parse the
     same way, and an error names the line or the source. Keys set
-    nowhere keep `ScenarioConfig()`'s defaults.
+    nowhere keep `ScenarioConfig()`'s defaults. A relative
+    `network.edge_list` is read from `folder`, by default the working
+    directory.
     """
     settings = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -437,6 +441,9 @@ def parse_config_text(text: str, path: str = "<string>", overrides=()) -> Scenar
             values[target][name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key}: {exc}") from exc
+    named = values["scenario"]
+    if "edge_list_path" in named:
+        named["edge_list_path"] = os.path.join(folder, named["edge_list_path"])
     base = ScenarioConfig()
     try:
         engine = replace(base.engine, **values["engine"])
@@ -448,13 +455,14 @@ def parse_config_text(text: str, path: str = "<string>", overrides=()) -> Scenar
 
 
 def parse_config(path, overrides=()) -> ScenarioConfig:
-    """`parse_config_text` of the file's text."""
+    """`parse_config_text` of the file's text, which names edge lists
+    relative to the file's folder."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, str(path), overrides)
+    return parse_config_text(text, str(path), overrides, os.path.dirname(path))
 
 
 def _check(cfg: ScenarioConfig) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ from fleetsim.model import (
     validate_state,
 )
 from fleetsim.network import Network, grid_node
-from fleetsim.scenario import ScenarioConfig, build_fleet, generate_demand
+from fleetsim.scenario import ScenarioConfig, build_fleet, generate_demand, twin_run
 from oracles import expand_plan, replay_plans, retained_route
 
 
@@ -381,8 +382,8 @@ def test_random_mini_runs_stay_clean(mode, policy):
         assert replay_events == events
 
 
-def _scenario_state(mode, reassignment, batch_interval, seed):
-    cfg = ScenarioConfig(
+def _scenario_cfg(mode, reassignment, batch_interval, seed):
+    return ScenarioConfig(
         seed=seed, grid_width=8, grid_height=8, vehicle_count=4,
         vehicle_capacity=3 if mode is Mode.POOLING else 1,
         rate=1.2, max_wait_low=3, max_wait_high=5,
@@ -392,6 +393,10 @@ def _scenario_state(mode, reassignment, batch_interval, seed):
             rejection_policy=RejectionPolicy.WALK_AWAY if seed % 2 else RejectionPolicy.EARLY_REJECT,
         ),
     )
+
+
+def _scenario_state(mode, reassignment, batch_interval, seed):
+    cfg = _scenario_cfg(mode, reassignment, batch_interval, seed)
     net = cfg.build_network()
     state = SystemState()
     for vehicle in build_fleet(cfg, net):
@@ -607,15 +612,26 @@ def test_a_batch_schedules_only_the_plans_it_keeps_or_chooses(monkeypatch, mode)
 
     monkeypatch.setattr(matching, "schedule_stops", counting_schedule)
     monkeypatch.setattr(engine, build_name, build)
-    seen = {"held": 0, "chosen": 0}
+    seen = {"held": 0, "chosen": 0, "reused": 0}
 
     def observe(ctx):
-        # kept plans of vehicles with riders on board, then chosen edges
-        held = sum(1 for vehicle in ctx.state.vehicles.values() if vehicle.onboard)
-        chosen = len(ctx.solution.chosen_bundles)
-        assert len(calls) == held + chosen
-        seen["held"] += held
-        seen["chosen"] += chosen
+        # kept plans of vehicles with riders on board, then chosen edges: a
+        # plan equal to the vehicle's installed route is that route, and
+        # only the others are scheduled
+        vehicles = ctx.state.vehicles
+        held = [vid for vid, vehicle in vehicles.items() if vehicle.onboard]
+        chosen = list(ctx.solution.chosen_bundles)
+        plans = [(vid, ctx.graph.kept_routes[vid]) for vid in held]
+        plans += [(vid, ctx.solution.routes[vid]) for vid in chosen]
+        reused = 0
+        for vid, route in plans:
+            if route == vehicles[vid].route:
+                assert route is vehicles[vid].route
+                reused += 1
+        assert len(calls) == len(plans) - reused
+        seen["held"] += len(held)
+        seen["chosen"] += len(chosen)
+        seen["reused"] += reused
 
     for reassignment in (Reassignment.ALLOWED, Reassignment.FROZEN):
         for seed in (1, 2):
@@ -623,3 +639,30 @@ def test_a_batch_schedules_only_the_plans_it_keeps_or_chooses(monkeypatch, mode)
             run_batches(state, cfg, net, 40, observe)
     assert seen["held"] >= 200
     assert seen["chosen"] >= 80
+    assert 0 < seen["reused"] < seen["held"] + seen["chosen"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(Mode),
+    reassignment=st.sampled_from(Reassignment),
+    batch_interval=st.integers(1, 3),
+    seed=st.integers(0, 10**6),
+)
+def test_a_reused_plan_is_the_plan_scheduling_gives(mode, reassignment, batch_interval, seed):
+    # every plan of both twins, kept, single-rider or searched, goes
+    # through `_plan` at one of its two bindings
+    real_plan = matching._plan
+
+    def checked_plan(net, start, visits, installed):
+        route = real_plan(net, start, visits, installed)
+        assert route == Route(schedule_stops(net, *start, visits))
+        # the installed route is returned exactly when it is the plan
+        assert (route is installed) == (route == installed)
+        return route
+
+    cfg = _scenario_cfg(mode, reassignment, batch_interval, seed)
+    with mock.patch.object(matching, "_plan", checked_plan), mock.patch.object(
+        pooling, "_plan", checked_plan
+    ):
+        twin_run(cfg)

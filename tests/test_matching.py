@@ -518,6 +518,46 @@ def test_retained_route_drops_revocable_tail():
     assert retained_route(Vehicle(id=1, capacity=1, position=0), 0, net) is None
 
 
+@st.composite
+def installed_plans(draw):
+    """Visits on a 2x2 grid, one request each, often back to back at one
+    node, and an installed route scheduled from the same visits, from
+    them with one visit dropped or replaced, or from one time unit later."""
+    node = st.integers(0, 3)
+    visit = st.tuples(node | st.none(), st.booleans(), st.integers(0, 9))
+    raw = draw(st.lists(visit, min_size=1, max_size=6, unique_by=lambda v: v[2]))
+    # a visit without a node is at the node of the visit before it
+    last = 0
+    for i, (at, pick, rid) in enumerate(raw):
+        last = last if at is None else at
+        raw[i] = (last, pick, rid)
+    other = list(raw)
+    change = draw(st.sampled_from(["none", "drop", "replace", "later"]))
+    if change in ("drop", "replace"):
+        i = draw(st.integers(0, len(raw) - 1))
+        fresh = (draw(node), draw(st.booleans()), 10)
+        other[i:i + 1] = [] if change == "drop" else [fresh]
+    start = (draw(node), draw(st.integers(0, 3)))
+    delay = 1 if change == "later" else 0
+
+    def visits(items):
+        return [(at, (rid,), ()) if pick else (at, (), (rid,)) for at, pick, rid in items]
+
+    return start, visits(raw), (start[0], start[1] + delay), visits(other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(installed_plans())
+def test_a_plan_is_the_installed_route_exactly_when_it_schedules_to_it(case):
+    start, visits, installed_start, installed_visits = case
+    net = Network.build_grid(2, 2)
+    installed = Route(schedule_stops(net, *installed_start, installed_visits)) if installed_visits else None
+    scheduled = Route(schedule_stops(net, *start, visits))
+    plan = matching._plan(net, start, visits, installed)
+    assert plan == scheduled
+    assert (plan is installed) == (scheduled == installed)
+
+
 def test_feasible_vehicles_shrink_as_time_passes():
     net = Network.build_grid(6, 6)
     rng = random.Random(99)

@@ -361,3 +361,32 @@ def test_answers_do_not_depend_on_the_order_of_first_use(case):
                 assert seq == min(all_min_paths(edges, a, b))
         else:
             assert got == max(max(dist.values()) for dist in oracle.values())
+
+
+@st.composite
+def path_walks(draw):
+    """A random strong directed network with edge times 1-4, and path
+    queries, each with the hops to walk along its answer, asking again
+    for the same destination after each."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(2, 30))
+    edges = random_strong_network(rng, n, draw(st.integers(0, 2 * n)), max_time=4)
+    node = st.integers(0, n - 1)
+    hops = st.lists(st.integers(1, 3), max_size=4)
+    return edges, draw(st.lists(st.tuples(node, node, hops), min_size=1, max_size=15))
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_walks())
+def test_a_reused_path_is_the_path_a_fresh_network_gives(case):
+    # shortest_path returns a suffix of the last path it built to a
+    # destination when the origin lies on it
+    edges, queries = case
+    net = Network(edges)
+    for node, destination, hops in queries:
+        path = (node,)
+        for hop in (0, *hops):
+            node = path[min(hop, len(path) - 1)]
+            got = net.shortest_path(node, destination)
+            assert got == Network(edges).shortest_path(node, destination)
+            path = got.node_sequence

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -487,6 +488,21 @@ def test_cli_validate_builds_the_network_and_places_the_fleet(tmp_path, capsys):
     config.write_text("fleet.vehicles = 2\nfleet.positions = 0, 100\n")
     assert main(["validate", "--config", str(config)]) == 1
     assert "fleet.positions references unknown node 100" in _single_error_line(capsys)
+
+
+def test_cli_config_reads_its_edge_list_from_its_own_folder(tmp_path, monkeypatch, capsys):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    edges = [(u, v) for u in range(4) for v in range(4) if u != v]
+    (sub / "edges.txt").write_text("".join(f"{u} {v} 1\n" for u, v in edges))
+    (sub / "rel.cfg").write_text("network.edge_list = edges.txt\nengine.mode = pooling\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--config", "sub/rel.cfg"]) == 0
+    assert capsys.readouterr().out == "sub/rel.cfg: ok\n"
+    assert parse_config("sub/rel.cfg").edge_list_path == os.path.join("sub", "edges.txt")
+    # text parsed without a file reads it from the working directory
+    with pytest.raises(ConfigError, match="network.edge_list"):
+        parse_config_text("network.edge_list = edges.txt\nengine.mode = pooling\n")
 
 
 def test_cli_twin_has_no_policy_flag(capsys):
