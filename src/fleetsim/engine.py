@@ -66,11 +66,11 @@ class EngineConfig:
         self.rejection_policy = RejectionPolicy(self.rejection_policy)
         self.reassignment = Reassignment(self.reassignment)
         if self.batch_interval < 1:
-            raise ValueError("batch_interval must be at least 1")
+            raise ValueError("engine.batch_interval must be at least 1")
         if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+            raise ValueError("engine.horizon must be at least 1")
         if self.max_bundle_size is not None and self.max_bundle_size < 1:
-            raise ValueError("max_bundle_size must be at least 1 or None")
+            raise ValueError("engine.max_bundle_size must be at least 1 or None")
 
 
 class EventKind(str, enum.Enum):

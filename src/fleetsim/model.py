@@ -296,6 +296,8 @@ class SystemState:
     )
     # the last pooling graph build's route searches, which the next may carry
     _searches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # route searches shared with a twin run, by their whole input
+    _shared_searches: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def add_request(self, request: Request) -> None:
         if request.id in self.requests:

@@ -9,7 +9,8 @@ request as in single-rider mode, priced by `single_rider_plans`;
 `best_route` searches the rest. A search carries to the next batch if
 the vehicle moved no faster than the network allows and the route's
 first arrival holds: no visit order then arrives earlier, and the move
-shifts every order's cost alike. An exact dynamic program over the
+shifts every order's cost alike. Twin runs also share one store of
+searches, keyed by their whole input. An exact dynamic program over the
 vehicles then picks at most one bundle per vehicle, covering each
 request at most once, under the single-rider mode's priority and tie
 rule (`matching._ranked_choices`), packed into one integer per choice.
@@ -129,6 +130,13 @@ def build_rtv_graph(
     arrives earlier, and each costs -drive * t' plus a factor shared by
     all times its first arrival plus a part the move leaves alone. A
     request's origin, destination, times and limits must never change.
+
+    A state holding a shared store (`run_scenario`'s `shared_searches`)
+    looks each search up there by its whole input, that context plus
+    the bundle, before it carries or runs one, and records there every
+    search it carries or runs. `best_route` reads nothing else, so a
+    stored answer is exact for every run whose request ids name the
+    same requests.
     """
     if max_bundle_size is not None and max_bundle_size < 1:
         raise ValueError("max_bundle_size must be positive or None")
@@ -137,10 +145,14 @@ def build_rtv_graph(
     plans: dict[frozenset[int], dict] = {}
     searches: dict[int, tuple] = {}  # id -> (net, capacity, weights, riders, start, results)
     carried: dict[int, tuple] = {}  # id -> the last build's (start, results), where they hold
+    store = state._shared_searches
     for vid, vehicle in state.vehicles.items():
-        riders = frozenset((rid, state.requests[rid].pickup_time) for rid in vehicle.onboard)
-        mine = searches[vid] = (net, vehicle.capacity, weights, riders, kept[vid].start, {})
         last, (node, time) = state._searches.get(vid), kept[vid].start
+        riders = frozenset((rid, state.requests[rid].pickup_time) for rid in vehicle.onboard)
+        if last and last[3] == riders:
+            riders = last[3]  # one object per rider set, which the store's keys share
+        context = (net, vehicle.capacity, weights, riders, kept[vid].start)
+        mine = searches[vid] = (*context, {} if store is None else store.setdefault(context, {}))
         # a move no faster than the network lets no visit order arrive earlier
         if last and last[:4] == mine[:4] and time - last[4][1] >= net.travel_time(last[4][0], node):
             carried[vid] = last[4:]
@@ -149,14 +161,17 @@ def build_rtv_graph(
         fits = {}
         for vid in vids:
             (node, time), results = searches[vid][4:]
-            (then_node, then), before = carried.get(vid, ((node, time), {}))
-            found = before.get(members, ())  # () where the last build did not search
-            first = found[0][0][0] if found else node
-            if found and time + net.travel_time(node, first) == then + net.travel_time(then_node, first):
-                found = (found[0], found[1] - weights.drive * (time - then))
-            elif found is not None:
-                found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
-            results[members] = found
+            if members in results:  # a shared search of this very input
+                found = results[members]
+            else:
+                (then_node, then), before = carried.get(vid, ((node, time), {}))
+                found = before.get(members, ())  # () where the last build did not search
+                first = found[0][0][0] if found else node
+                if found and time + net.travel_time(node, first) == then + net.travel_time(then_node, first):
+                    found = (found[0], found[1] - weights.drive * (time - then))
+                elif found is not None:
+                    found = best_route(state.vehicles[vid], members, now, net, state.requests, weights)
+                results[members] = found
             if found is not None:
                 fits[vid] = (partial(_plan, net, kept[vid].start, found[0], kept[vid].installed), found[1])
         return fits
@@ -192,6 +207,10 @@ def build_rtv_graph(
                     grown.append(union)
         level = grown
 
+    if store is not None:  # keep no input that ran no search
+        for mine in searches.values():
+            if not mine[5]:
+                store.pop(mine[:5], None)
     state._searches = searches
     return assemble_graph(state, list(reach), plans, kept)
 

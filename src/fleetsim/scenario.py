@@ -81,6 +81,13 @@ def generate_demand(cfg: ScenarioConfig, net: Network) -> list[Request]:
     longer than the patience window is resampled: a vehicle that takes
     a trip is busy past any other request's deadline, which is the
     regime the outcome-equivalence argument speaks about.
+
+    The floor stands in for a bundle cap of 1. At cap 1 a vehicle cannot
+    plan "serve r', then r" while r' only waits for it, so early
+    rejection refuses r; once r' is on board, its dropoff is in the kept
+    plan, r after it is a single-rider edge, and walk-away serves r
+    late. Without the floor, hailing demand run in pooling mode at
+    capacity 1 and cap 1 does this (seed 1000, requests 308-310).
     """
     rng = random.Random(cfg.seed)
     horizon_time = (cfg.engine.horizon - 1) * cfg.engine.batch_interval
@@ -174,14 +181,23 @@ class RunResult:
         return [row["active_requests"] for row in self.batches]
 
 
-def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
+def run_scenario(
+    cfg: ScenarioConfig, observer=None, *, shared_searches: dict | None = None
+) -> RunResult:
     """Execute one full scenario: horizon batches plus the drain tail.
 
     Scenarios on one grid or edge-list text share one network, and with
     it every distance row an earlier scenario in the process filled.
+
+    `shared_searches` is a route-search store (see `build_rtv_graph`)
+    the run reads and adds to while it runs; the returned state does not
+    keep it. Only runs whose requests match id for id, as the two runs
+    of `twin_run` do, may share one. Without it a state keeps only its
+    last batch's searches.
     """
     net = cfg.build_network()
     state = SystemState()
+    state._shared_searches = shared_searches
     start_positions = {}
     for vehicle in build_fleet(cfg, net):
         start_positions[vehicle.id] = vehicle.position
@@ -224,6 +240,7 @@ def run_scenario(cfg: ScenarioConfig, observer=None) -> RunResult:
         ]
         if unfinished:
             raise EngineError(f"requests never settled: {unfinished}")
+    state._shared_searches = None
     # each step checks only its live part of the state; check all of it once
     state.recheck_all()
     problems = validate_state(state, net)
@@ -336,7 +353,10 @@ def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
     """Run the scenario under both policies and compare the outcomes.
 
     Both runs build the one shared network of `cfg`, so the second run
-    reads the distance rows the first one filled.
+    reads the distance rows the first one filled. They also share one
+    route-search store, so the walk-away run repeats no `best_route`
+    search the early-rejection run made on the same input. The store
+    lives until both runs end, and neither returned state keeps it.
     """
     reject_cfg = replace(
         cfg, engine=replace(cfg.engine, rejection_policy=RejectionPolicy.EARLY_REJECT)
@@ -344,8 +364,9 @@ def twin_run(cfg: ScenarioConfig, observers=(None, None)) -> TwinReportEntry:
     walk_cfg = replace(
         cfg, engine=replace(cfg.engine, rejection_policy=RejectionPolicy.WALK_AWAY)
     )
-    reject = run_scenario(reject_cfg, observers[0])
-    walkaway = run_scenario(walk_cfg, observers[1])
+    searches: dict = {}
+    reject = run_scenario(reject_cfg, observers[0], shared_searches=searches)
+    walkaway = run_scenario(walk_cfg, observers[1], shared_searches=searches)
     a, b = TwinOutcome.of(reject), TwinOutcome.of(walkaway)
     return TwinReportEntry(
         seed=cfg.seed,

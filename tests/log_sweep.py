@@ -16,7 +16,7 @@ Run from the repository root:
 `--check` lists every run that differs, with the parts that differ,
 then their count, and exits 1 if any does. The file name
 does not match `test_*.py`, so pytest does not collect it; a full sweep
-takes about two minutes on one core.
+takes 65-80 s on one core of a 2-vCPU VM.
 """
 
 from __future__ import annotations

@@ -14,12 +14,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from fleetsim import pooling
-from fleetsim.engine import EngineConfig, Mode, Reassignment
+from fleetsim import pooling, scenario
+from fleetsim.engine import EngineConfig, Mode, Reassignment, RejectionPolicy, step
 from fleetsim.matching import MatchingError, _ranked_choices, kept_plans, solve_hailing
 from fleetsim.model import (
     CostWeights,
     Request,
+    RequestStatus,
     Route,
     Stop,
     SystemState,
@@ -38,7 +39,9 @@ from fleetsim.pooling import (
     divertable_vehicles,
     solve_pooling,
 )
-from fleetsim.scenario import ScenarioConfig, event_log_lines, run_scenario, twin_run
+from fleetsim.scenario import (
+    ScenarioConfig, event_log_lines, generate_demand, run_scenario, twin_run,
+)
 from oracles import exhaustive_pooling_oracle, late_assignments, oracle_options, route_feasible
 from test_acceptance import hailing_cfg, pooling_cfg
 from test_network import grid_edges, random_strong_network
@@ -623,6 +626,32 @@ def test_rtv_graph_searches_again_when_an_input_changes(name):
         fresh_graph = build_rtv_graph(fresh, net_after, 1, weights)
     assert want and Counter(key for key, _ in got) == Counter(key for key, _ in want)
     assert _graph_edges(graph) == _graph_edges(fresh_graph)
+    # a second state reading the first one's store, as the walk-away twin does
+    first, twin = _sharing_states(net)
+    build_rtv_graph(first, net, 1, _W)
+    _perturb(name, twin, net)
+    with searches_logged() as shared:
+        twin_graph = build_rtv_graph(twin, net_after, 1, weights)
+    assert Counter(key for key, _ in shared) == Counter(key for key, _ in want)
+    assert _graph_edges(twin_graph) == _graph_edges(fresh_graph)
+
+
+def _sharing_states(net):
+    """Two `_rider_state`s holding one shared search store."""
+    first, twin = _rider_state(net), _rider_state(net)
+    first._shared_searches = twin._shared_searches = {}
+    return first, twin
+
+
+def test_a_state_sharing_a_store_repeats_no_search_of_the_same_input():
+    net = Network.build_grid(5, 5)
+    first, twin = _sharing_states(net)
+    with searches_logged() as ran:
+        graph = build_rtv_graph(first, net, 1, _W)
+    with searches_logged() as again:
+        twin_graph = build_rtv_graph(twin, net, 1, _W)
+    assert len(ran) == 3 and again == []
+    assert _graph_edges(twin_graph) == _graph_edges(graph)
 
 
 def test_a_deep_copied_state_still_carries_its_searches():
@@ -1263,6 +1292,84 @@ def test_twins_agree_exactly_when_walkaway_accepts_nothing_late():
             assert entry.first_divergence == f"request {late[0]} served only under walkaway"
         verdicts.append(entry.equal)
     assert len(verdicts) == 12 and True in verdicts and False in verdicts
+
+
+def test_a_bundle_cap_of_1_serves_a_chained_request_only_under_walkaway():
+    # seed 1000's demand at capacity 1 and single-rider bundles, shrunk to
+    # requests 308-310 and vehicles 9 and 11: at batch 179 request 310 is
+    # reachable only after 309, which is a pending pickup of vehicle 9, and
+    # no single-rider bundle plans "309, then 310"; once 309 is on board
+    # its dropoff is in the kept plan, and 310 after it is a lone-rider edge
+    cfg = _with_engine(hailing_cfg(1000), mode=Mode.POOLING, max_bundle_size=1)
+    assert cfg.vehicle_capacity == 1
+    net = cfg.build_network()
+    logged, late, served = {}, {}, {}
+    for policy in RejectionPolicy:
+        state = SystemState()
+        for vid, node in ((9, 47), (11, 65)):
+            state.add_vehicle(Vehicle(vid, cfg.vehicle_capacity, node))
+        for request in generate_demand(cfg, net):
+            if request.id in (308, 309, 310):
+                state.add_request(request)
+        engine, events = replace(cfg.engine, rejection_policy=policy), []
+        while not state.settled():
+            events += step(state, engine, net)
+        logged[policy] = {(e.batch, e.kind.value, e.request, e.vehicle, e.time) for e in events}
+        late[policy] = late_assignments(events)
+        served[policy] = {rid for rid, r in state.requests.items() if r.status is RequestStatus.SERVED}
+    early, walkaway = RejectionPolicy.EARLY_REJECT, RejectionPolicy.WALK_AWAY
+    assert {
+        (178, "accepted", 309, 9, 178),
+        (179, "rejected", 310, None, 179),
+        (180, "picked_up", 309, 9, 181),
+    } <= logged[early]
+    assert {(180, "picked_up", 309, 9, 181), (181, "accepted", 310, 9, 181)} <= logged[walkaway]
+    assert late == {early: [], walkaway: [310]}
+    assert served == {early: {308, 309}, walkaway: {308, 309, 310}}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pooling_cfg(2000),
+        *(
+            _with_engine(pooling_cfg(2016), batch_interval=2, max_bundle_size=cap, reassignment=how)
+            for cap in (3, None)
+            for how in (Reassignment.ALLOWED, Reassignment.FROZEN)
+        ),
+        hailing_cfg(1000),
+    ],
+    ids=lambda cfg: f"{cfg.engine.mode.value}-{cfg.seed}-cap{cfg.engine.max_bundle_size}"
+    f"-{cfg.engine.reassignment.value}-every{cfg.engine.batch_interval}",
+)
+def test_each_twin_logs_what_the_same_run_alone_logs(cfg):
+    entry = twin_run(cfg)
+    for result in (entry.reject, entry.walkaway):
+        alone = run_scenario(result.config)
+        assert event_log_lines(result) == event_log_lines(alone)
+
+
+def test_the_walkaway_twin_repeats_almost_no_search_and_keeps_no_store(monkeypatch):
+    real, searches, stores = scenario.run_scenario, [], []
+
+    def counted(cfg, observer=None, **kwargs):
+        with searches_logged() as calls:
+            result = real(cfg, lambda ctx: stores.append(ctx.state._shared_searches), **kwargs)
+        searches.append(len(calls))
+        return result
+
+    monkeypatch.setattr(scenario, "run_scenario", counted)
+    entry = twin_run(pooling_cfg(2000))
+    early, walkaway = searches
+    assert entry.equal and early > 1000 and walkaway <= early // 100
+    # both runs read one store while they run, and neither keeps it
+    assert stores[0] is not None and all(store is stores[0] for store in stores)
+    assert entry.reject.state._shared_searches is None
+    assert entry.walkaway.state._shared_searches is None
+    stores.clear()
+    alone = real(pooling_cfg(2000), lambda ctx: stores.append(ctx.state._shared_searches))
+    assert stores and all(store is None for store in stores)
+    assert alone.state._shared_searches is None
 
 
 def test_uncapped_single_rider_pooling_twins_agree_on_a_short_horizon():

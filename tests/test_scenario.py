@@ -464,6 +464,14 @@ def _single_error_line(capsys):
     return lines[0]
 
 
+@pytest.mark.parametrize("key", ["batch_interval", "horizon", "max_bundle_size"])
+def test_cli_engine_setting_errors_name_their_key(tmp_path, capsys, key):
+    config = tmp_path / "x.cfg"
+    config.write_text(f"engine.{key} = 0\n")
+    assert main(["validate", "--config", str(config)]) == 1
+    assert _single_error_line(capsys).startswith(f"error: {config}: engine.{key} must be at least 1")
+
+
 @pytest.mark.parametrize("verb", ["run", "twin", "validate"])
 def test_cli_missing_files_exit_one_without_a_traceback(tmp_path, capsys, verb):
     missing = tmp_path / "missing.cfg"
